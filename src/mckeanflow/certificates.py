@@ -29,7 +29,7 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
+from numpy.polynomial import polynomial as P
 
 from .grid import (DensityGrid1D, equilibrium_for_mean, free_energy,
                    relative_entropy, wasserstein2)
@@ -64,34 +64,22 @@ def structural_constants(model: ModelConfig) -> tuple[float, float, float]:
     return (2.0 * abs(th), th, 2.0 * max(0.0, -(vpp + 2.0 * th)))
 
 
-def _well_filling(pot, c0: float) -> tuple[float, float] | None:
+def _well_filling(pot, c0: float) -> tuple[float, float]:
     """Split V = U0 + U1 with U0 convex: U0 is V outside [-R, R] and the
     matching parabola with curvature c0 inside, where c0*R = V'(R).
 
-    Returns (effective convexity of U0, osc(U1)), or None if the matching
-    radius cannot be bracketed.
+    U1' = V' - c0*x is a polynomial: R is its largest real root >= 0
+    (beyond it V' > c0*x), and osc(U1) is read off at 0, at R and at the
+    real parts of its roots clipped into [0, R], where U1 takes its
+    extremes.  Returns (effective convexity of U0, osc(U1)).
     """
-    x_hi = 2.0
-    for _ in range(40):
-        xs = np.linspace(0.0, x_hi, 4096)
-        h = pot.grad(xs) - c0 * xs
-        if h[-1] > 0:
-            break
-        x_hi *= 2.0
-    else:
-        return None
-    sign = h[:-1] <= 0
-    idx = np.nonzero(sign & (h[1:] > 0))[0]
-    if len(idx) == 0:
-        return None
-    i = idx[-1]
-    r = brentq(lambda x: float(pot.grad(x)) - c0 * x, xs[i], xs[i + 1],
-               xtol=1e-12)
-    inner = np.linspace(0.0, r, 2048)
-    u1 = pot.value(inner) - (pot.value(r) + 0.5 * c0 * (inner ** 2 - r ** 2))
-    osc = float(u1.max() - u1.min())
-    c_eff = min(c0, pot.hess_inf(r, r + 10.0))
-    return c_eff, osc
+    roots = P.polyroots(P.polysub(P.polyder(pot.coefficients), (0.0, c0)))
+    real = roots.real[np.abs(roots.imag) <= 1e-9 * (1.0 + np.abs(roots))]
+    r = float(np.max(real, initial=0.0))
+    xs = np.concatenate(([0.0, r], np.clip(roots.real, 0.0, r)))
+    u1 = pot.value(xs) - (pot.value(r) + 0.5 * c0 * (xs ** 2 - r ** 2))
+    c_eff = min(c0, pot.hess_inf(r, np.inf))
+    return c_eff, float(np.ptp(u1))
 
 
 def lsi_eta(model: ModelConfig) -> float:
@@ -113,10 +101,7 @@ def lsi_eta(model: ModelConfig) -> float:
         candidates.append(s2 / (2.0 * (vpp + 2.0 * th)))
     if vpp < 0 and pot.is_even():
         for c0 in np.geomspace(1e-3, 2.0 * (abs(vpp) + 1.0) + 8.0, 25):
-            split = _well_filling(pot, float(c0))
-            if split is None:
-                continue
-            c_eff, osc = split
+            c_eff, osc = _well_filling(pot, float(c0))
             if c_eff + 2.0 * th <= 0:
                 continue
             candidates.append(s2 / (2.0 * (c_eff + 2.0 * th))
@@ -127,23 +112,30 @@ def lsi_eta(model: ModelConfig) -> float:
     return float(min(candidates))
 
 
-def nonlinear_lsi_eta_bar(model: ModelConfig, epsilon: float) -> float:
-    """eta_bar with F - inf F <= eta_bar * sigma2^2 * I normalization.
-
-    Only defined below the critical temperature (the mean map must
-    contract toward the outer fixed point on means >= epsilon).
-    """
+def _subcritical(model: ModelConfig) -> SelfConsistency1D:
     sc = SelfConsistency1D(model)
     if sc.mean_map_derivative(0.0) <= 1.0:
         raise CertificateError(
             "supercritical temperature: this certificate needs the "
             "two-well regime; a global variant without the mean "
             "constraint exists but is not implemented")
-    alpha = contraction_factor(sc, epsilon)
-    eta = lsi_eta(model)
+    return sc
+
+
+def _eta_bar(model: ModelConfig, eta: float, alpha: float) -> float:
     s2 = model.sigma2
     return float(eta * (s2 + 4.0 * eta * model.theta / (1.0 - alpha) ** 2)
                  / s2 ** 2)
+
+
+def nonlinear_lsi_eta_bar(model: ModelConfig, epsilon: float) -> float:
+    """eta_bar with F - inf F <= eta_bar * sigma2^2 * I normalization.
+
+    Only defined below the critical temperature (the mean map must
+    contract toward the outer fixed point on means >= epsilon).
+    """
+    sc = _subcritical(model)
+    return _eta_bar(model, lsi_eta(model), contraction_factor(sc, epsilon))
 
 
 def q_t(model: ModelConfig, constants: CoreConstants, t: float) -> float:
@@ -269,12 +261,7 @@ def build_certificate(model: ModelConfig, epsilon: float | None = None,
     solver on `grid_n` cells over `bounds`; any failed check marks the
     report INVALID and records the offending sample.
     """
-    sc = SelfConsistency1D(model)
-    if sc.mean_map_derivative(0.0) <= 1.0:
-        raise CertificateError(
-            "supercritical temperature: this certificate needs the "
-            "two-well regime; a global variant without the mean "
-            "constraint exists but is not implemented")
+    sc = _subcritical(model)
     m_plus = find_fixed_points(sc).positive_root().m
     if epsilon is None:
         epsilon = 0.2 * m_plus
@@ -282,8 +269,7 @@ def build_certificate(model: ModelConfig, epsilon: float | None = None,
     eta = lsi_eta(model)
     core = CoreConstants(big_l, lam, kappa1, eta)
     alpha = contraction_factor(sc, epsilon)
-    eta_bar = float(eta * (model.sigma2 + 4.0 * eta * model.theta
-                           / (1.0 - alpha) ** 2) / model.sigma2 ** 2)
+    eta_bar = _eta_bar(model, eta, alpha)
     q1 = q_t(model, core, 1.0)
     delta = m_plus - epsilon
     delta_prime, c_rate = stability_radius(core, eta_bar, q1, delta)
@@ -332,8 +318,8 @@ def build_certificate(model: ModelConfig, epsilon: float | None = None,
         if ratio > worst:
             worst = ratio
             detail = "worst W2^2 vs 4*eta*H at mixture sample"
-    report.checks.append(CheckRecord("talagrand", worst <= 1.0, n_pairs,
-                                     float(worst), detail))
+    report.checks.append(CheckRecord(
+        "talagrand", bool(worst <= 1.0), n_pairs, float(worst), detail))
 
     # 2. dissipation inequality along solver runs restricted to means
     #    above epsilon
@@ -353,7 +339,7 @@ def build_certificate(model: ModelConfig, epsilon: float | None = None,
         rhs = eta_bar * s4 * log.column("Fisher")[keep] * 1.05 + 1e-12
         worst = max(worst, float(np.max(gaps / rhs)))
     report.checks.append(CheckRecord(
-        "nonlinear_lsi", worst <= 1.0, used, float(worst),
+        "nonlinear_lsi", bool(worst <= 1.0), used, float(worst),
         "F gap vs eta_bar*sigma2^2*Fisher along %d runs" % n_runs))
 
     # 3. unit-time regularization: F gap at t=1 vs q1 * initial W2^2
@@ -370,7 +356,7 @@ def build_certificate(model: ModelConfig, epsilon: float | None = None,
         gap = log.column("F")[-1] - f_star
         worst = max(worst, _ratio(gap, q1 * w2_0 ** 2 * 1.10 + 1e-12))
     report.checks.append(CheckRecord(
-        "q1_regularization", worst <= 1.0, n_q, float(worst),
+        "q1_regularization", bool(worst <= 1.0), n_q, float(worst),
         "free-energy gap at t=1 vs q1*W2^2(rho_0, rho*)"))
 
     # 4. certified decay envelope inside the delta_prime ball
@@ -394,7 +380,7 @@ def build_certificate(model: ModelConfig, epsilon: float | None = None,
         used += len(w2_t)
         worst = max(worst, float(np.max(w2_t ** 2 / envelope)))
     report.checks.append(CheckRecord(
-        "decay_envelope", worst <= 1.0, used, float(worst),
+        "decay_envelope", bool(worst <= 1.0), used, float(worst),
         "W2^2(rho_t, rho*) vs C*e^{-t/eta_bar}*W2^2(rho_0, rho*)"))
 
     if not all(c.passed for c in report.checks):

@@ -233,8 +233,7 @@ class ParticlesRunCfg(_Base):
     @model_validator(mode="after")
     def _needs_grid(self) -> "ParticlesRunCfg":
         if self.grid is None and (self.reference != "none"
-                                  or self.init.kind in ("equilibrium",
-                                                        "csv")):
+                                  or self.init.kind != "gaussian"):
             raise ValueError("this init/reference combination needs a "
                              "grid block")
         return self
@@ -679,7 +678,7 @@ def main(argv=None) -> int:
     except (ArithmeticError, ParticleError, CertificateError,
             np.linalg.LinAlgError) as exc:
         return _fail(3, "%s: %s" % (type(exc).__name__, exc))
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         return _fail(2, "%s: %s" % (type(exc).__name__, exc))
     elapsed = time.perf_counter() - started
 

@@ -53,8 +53,6 @@ class SelfConsistency1D:
 
     def __init__(self, model: ModelConfig, radius: float = 6.0,
                  nodes_per_unit: int = 400):
-        if model.dimension != 1:
-            raise MeanFieldError("self-consistency layer needs dimension 1")
         self.model = model
         self.nodes_per_unit = int(nodes_per_unit)
         self._panel = 0.1

@@ -10,6 +10,7 @@ and second moment.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +27,19 @@ def _as_tuple(coefficients) -> tuple[float, ...]:
     while len(coeffs) > 1 and coeffs[-1] == 0.0:
         coeffs = coeffs[:-1]
     return coeffs
+
+
+# Potential.hess_inf reads the sign of V''' on brackets about each root x
+# of V''', of these half-widths in units of 1 + |x|, and zooms in on one by
+# cutting it to one of 32 cells; ten cuts take 1e-2 down to rounding
+_BRACKETS = np.geomspace(1e-12, 1e-2, 21)
+_ZOOM = np.linspace(0.0, 1.0, 33)
+
+
+def _rounding(coeffs, x):
+    """Bound on the rounding error of P.polyval(x, coeffs)."""
+    return (2 * len(coeffs) * np.finfo(float).eps
+            * P.polyval(np.abs(x), np.abs(coeffs)))
 
 
 @dataclass(frozen=True)
@@ -95,51 +109,70 @@ class Potential:
     def hess(self, x):
         return P.polyval(np.asarray(x, dtype=float), P.polyder(self.coefficients, 2))
 
-    def _abs_poly_bound(self, coeffs, radius: float) -> float:
-        # |p(x)| <= sum |c_k| radius**k for |x| <= radius; rigorous
-        return float(sum(abs(c) * radius ** k for k, c in enumerate(coeffs)))
+    def hess_inf(self, lo: float, hi: float) -> float:
+        """Lower bound for inf of V'' on [lo, hi]; either end may be infinite.
 
-    def hess_inf(self, lo: float, hi: float, tol: float = 1e-6) -> float:
-        """Rigorous lower bound for inf of V'' on [lo, hi].
-
-        Grid minimum minus a modulus-of-continuity bound (dx/2)*max|V'''|,
-        with the grid refined until the bracket is tighter than `tol`.
+        The infimum sits at a finite endpoint or at a local minimum x* of
+        V'', where V'''(x*) = 0.  If |c - x*| <= r, Taylor's theorem about
+        x* gives V''(x*) >= V''(c) - r**2 * max|V''''| / 2 on [c - r, c + r],
+        also with c clipped into [lo, hi] when x* is inside.  Candidates
+        (c, r) enter with that slack and a rounding bound for V''(c): the
+        finite endpoints with r = 0, and for each root x of V''' from
+        polyroots (real part), with the sign of V''' read at x +- eps for
+        eps in _BRACKETS * (1 + |x|) where it clears rounding:
+        - x, with r the smallest eps where both ends are clear.  This
+          covers a minimum within eps of x, also one in a cluster of roots
+          too tight to show a sign change.
+        - If the root error exceeds that eps, the smallest bracket whose
+          ends read opposite signs holds the root.  If they read - and +,
+          the bracket is zoomed in to its first - to + step.
+        The bound rests on every minimum in [lo, hi] lying in one of these
+        brackets about its own computed root.
         """
         if not lo < hi:
             raise ModelError("need lo < hi")
-        d3 = P.polyder(self.coefficients, 3)
-        radius = max(abs(lo), abs(hi))
-        m3 = self._abs_poly_bound(d3, radius)
-        n = 1025
-        while True:
-            xs = np.linspace(lo, hi, n)
-            grid_min = float(np.min(self.hess(xs)))
-            slack = 0.5 * (hi - lo) / (n - 1) * m3
-            if slack < tol or n > 2 ** 24:
-                return grid_min - slack
-            n = 2 * (n - 1) + 1
+        d2 = P.polyder(self.coefficients, 2)
+        d3 = P.polyder(d2)
+        if not np.any(d3):
+            return float(d2[0])  # constant curvature
 
-    def hess_inf_global(self, tol: float = 1e-6) -> float:
-        """Lower bound for inf of V'' over the whole line.
+        def sign(x):  # sign of V''', 0 where rounding could flip it
+            v = P.polyval(x, d3)
+            return np.sign(v) * (np.abs(v) > _rounding(d3, x))
 
-        V'' tends to +infinity, so the infimum is attained on a bounded
-        interval; expand until the boundary curvature clears the interior
-        minimum.
-        """
-        d2 = np.trim_zeros(np.atleast_1d(P.polyder(self.coefficients, 2)),
-                           "b")
-        if d2.size <= 1:
-            # constant curvature, nothing to bracket
-            return float(d2[0]) if d2.size else 0.0
-        r = 1.0
-        while r < 2 ** 20:
-            xs = np.linspace(-r, r, 4097)
-            h = self.hess(xs)
-            interior = float(np.min(h))
-            if min(h[0], h[-1]) > interior + 1.0:
-                return self.hess_inf(-r, r, tol)
-            r *= 2.0
-        raise ModelError("could not bracket the minimum of V''")
+        roots = P.polyroots(d3).real
+        eps = np.outer(1.0 + np.abs(roots), _BRACKETS)
+        left, right = sign(roots[:, None] - eps), sign(roots[:, None] + eps)
+        rows = np.arange(len(roots))
+        lit = (left != 0) & (right != 0)
+        near = eps[rows, np.where(lit.any(axis=1), np.argmax(lit, axis=1), -1)]
+        first = np.argmax(left * right < 0, axis=1)
+        up = (left[rows, first] < 0) & (right[rows, first] > 0)
+        a, b = (roots - eps[rows, first])[up], (roots + eps[rows, first])[up]
+        cols, idx = np.arange(len(_ZOOM)), np.arange(len(a))
+        for _ in range(10):
+            # move the ends in to the first - to + step on a finer grid,
+            # passing over points where rounding hides the sign
+            t = a[:, None] + (b - a)[:, None] * _ZOOM
+            t[:, -1] = b
+            s = sign(t)
+            s[:, 0], s[:, -1] = -1.0, 1.0
+            k = np.argmax(s > 0, axis=1)
+            m = np.max(np.where((s < 0) & (cols < k[:, None]), cols, 0), axis=1)
+            a, b = t[idx, m], t[idx, k]
+        ends = [x for x in (lo, hi) if np.isfinite(x)]
+        c = np.concatenate((ends, roots, 0.5 * (a + b)))
+        r = np.concatenate((np.zeros(len(ends)), near, 0.5 * (b - a)))
+        d4 = P.polyder(d3)  # max|V''''| on [c - r, c + r] by Taylor about c
+        m4 = sum(np.abs(P.polyval(c, P.polyder(d4, j))) * r ** j
+                 / math.factorial(j) for j in range(len(d4)))
+        xs = np.clip(c, lo, hi)
+        return float(np.min(P.polyval(xs, d2) - _rounding(d2, xs)
+                            - 0.5 * r ** 2 * m4))
+
+    def hess_inf_global(self) -> float:
+        """Lower bound for inf of V'' over the whole line."""
+        return self.hess_inf(-np.inf, np.inf)
 
     def is_even(self, tol: float = 0.0) -> bool:
         return all(abs(c) <= tol for c in self.coefficients[1::2])
@@ -161,36 +194,25 @@ class Interaction:
         d = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
         return self.theta * d * d
 
-    @staticmethod
-    def phi(x):
-        return np.asarray(x, dtype=float)
-
-    def param_energy(self, psi):
-        return -self.theta * np.asarray(psi, dtype=float) ** 2
-
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Potential + interaction + temperature sigma2 (+ dimension)."""
+    """Potential + interaction + temperature sigma2."""
 
     potential: Potential
     interaction: Interaction
     sigma2: float
-    dimension: int = 1
 
     def __post_init__(self):
         if not self.sigma2 > 0:
             raise ModelError("sigma2 must be positive")
-        if int(self.dimension) < 1 or self.dimension != int(self.dimension):
-            raise ModelError("dimension must be an integer >= 1")
 
     @property
     def theta(self) -> float:
         return self.interaction.theta
 
     def with_sigma2(self, sigma2: float) -> "ModelConfig":
-        return ModelConfig(self.potential, self.interaction, float(sigma2),
-                           self.dimension)
+        return ModelConfig(self.potential, self.interaction, float(sigma2))
 
 
 def standard_model(theta: float, sigma2: float,
@@ -207,8 +229,6 @@ def drift(model: ModelConfig, x, mean):
     For the quadratic kernel the convolved interaction force at x equals
     2*theta*(x - mean), so the drift needs only the current mean.
     """
-    if model.dimension != 1:
-        raise ModelError("drift is defined for dimension 1")
     x = np.asarray(x, dtype=float)
     return -model.potential.grad(x) - 2.0 * model.theta * (x - mean)
 

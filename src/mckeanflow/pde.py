@@ -72,8 +72,6 @@ class GranularSolver:
 
     def __init__(self, model: ModelConfig, state: DensityGrid1D,
                  dt: float | None = None, scheme: str = "chang-cooper"):
-        if model.dimension != 1:
-            raise PdeError("granular solver is one-dimensional")
         if scheme not in ("chang-cooper", "upwind"):
             raise PdeError("unknown scheme %r" % (scheme,))
         if not state.is_normalized():
@@ -116,7 +114,8 @@ class GranularSolver:
     def _interface_w(self, m: float) -> np.ndarray:
         return self._w_pot + self._c_mean * (m - self._x_if)
 
-    def _admissible_for_w(self, w: np.ndarray) -> float:
+    def _admissible_for_w(self, w: np.ndarray) -> tuple[float, np.ndarray]:
+        """Admissible dt for interface weights w, and the P(w) behind it."""
         s2 = self.model.sigma2
         # dx * max|drift| equals s2 * max|w|, so the diffusion-drift CFL
         # bound dx^2/(2*s2 + dx*max|drift|) reads s2*(2 + max|w|) below
@@ -128,7 +127,7 @@ class GranularSolver:
         coeff = max(float(pm[0]), float(p[-1]))
         if len(p) > 1:
             coeff = max(coeff, float(np.max(p[:-1] + pm[1:])))
-        return min(formula, self.dx ** 2 / (s2 * coeff))
+        return min(formula, self.dx ** 2 / (s2 * coeff)), p
 
     def admissible_dt(self, worst_case: bool = False) -> float:
         """Largest stable dt: min of the diffusion-drift CFL bound
@@ -136,20 +135,19 @@ class GranularSolver:
         if worst_case:
             span = self.x_hi - self.x_lo
             w = np.abs(self._w_pot) + abs(self._c_mean) * span
-            return self._admissible_for_w(w)
-        return self._admissible_for_w(self._interface_w(self.mean()))
+            return self._admissible_for_w(w)[0]
+        return self._admissible_for_w(self._interface_w(self.mean()))[0]
 
     def step(self) -> None:
         rho = self._rho
         s2 = self.model.sigma2
         m = self.mean()
         w = self._interface_w(m)
-        adm = self._admissible_for_w(w)
+        adm, p = self._admissible_for_w(w)
         if self.dt > adm * (1.0 + 1e-9):
             raise CflError("dt=%.6g unstable; admissible dt <= %.6g"
                            % (self.dt, adm))
         if self.scheme == "chang-cooper":
-            p = _p_weights(w)
             flux = (s2 / self.dx) * ((p + w) * rho[:-1] - p * rho[1:])
         else:
             b = s2 * w / self.dx
@@ -283,8 +281,6 @@ class VfpSolver:
     def __init__(self, model: ModelConfig, state: PhaseGrid2D,
                  dt: float | None = None, enable_transport: bool = True,
                  enable_force: bool = True, enable_diffusion: bool = True):
-        if model.dimension != 1:
-            raise PdeError("kinetic solver is 1D x 1D")
         self.model = model
         self.grid = state
         self._rho = state.values.copy()

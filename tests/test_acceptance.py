@@ -199,6 +199,7 @@ def test_c08_certificate_valid(certificate):
                      "decay_envelope"}
     assert all(c.passed for c in report.checks)
     assert all(c.n_samples > 0 for c in report.checks)
+    assert json.loads(report.to_json())["verdict"] == "VALID"
     assert elapsed < 300.0
 
 

@@ -42,6 +42,20 @@ def test_lsi_eta_double_well_finite(dw03):
     assert eta == pytest.approx(0.3 / 2.0, rel=1e-6)
 
 
+def test_lsi_eta_four_well():
+    # inf V'' = -5.0338 sits at the outer barriers x = +-2.3154
+    four_well = Potential.polynomial(
+        np.array([0.0, 0.0, -18.0, 0.0, 49 / 4, 0.0, -7 / 3, 0.0, 1 / 8])
+        / 36.0)
+    # strong coupling convexifies: eta = sigma2 / (2 (inf V'' + 2 theta))
+    convex = mk.standard_model(3.0, 0.3, potential=four_well)
+    assert lsi_eta(convex) == pytest.approx(
+        0.3 / (2.0 * (6.0 - 5.03381789)), rel=1e-7)
+    # at theta=1 only the well-filling split certifies a constant
+    assert lsi_eta(mk.standard_model(1.0, 0.3, potential=four_well)) \
+        == pytest.approx(15.216, rel=1e-4)
+
+
 def test_lsi_eta_improves_with_interaction():
     etas = [lsi_eta(mk.standard_model(th, 0.3)) for th in (1.0, 2.0)]
     assert etas[1] < etas[0]

@@ -114,11 +114,30 @@ def test_cfl_failure_exit_3(tmp_path, capsys):
 
 
 def test_domain_error_exit_2(tmp_path, capsys):
-    # supercritical temperature: no nonzero fixed point to localize on
-    cfg = write_cfg(tmp_path, {"theta": 1.0, "sigma2_values": [1.5]})
-    assert main(["localization", "--config", cfg,
-                 "--out", str(tmp_path / "o")]) == 2
-    assert "code=2" in capsys.readouterr().err
+    missing = str(tmp_path / "missing.csv")
+    model = {"theta": 1.0, "sigma2": 0.3}
+    cases = [
+        # supercritical temperature: no nonzero fixed point to localize on
+        ("localization", {"theta": 1.0, "sigma2_values": [1.5]}),
+        # a mixture is sampled from a density, which needs a grid
+        ("particles-run", {"model": model, "n_particles": 64, "seeds": [0],
+                           "T": 0.1, "init": {"kind": "mixture",
+                                              "components": [[1.0, 0.0,
+                                                              0.5]]}}),
+        ("rates-report", {"trajectory": missing,
+                          "fits": [{"column": "w2",
+                                    "kind": "exponential"}]}),
+        ("pde-run", {"model": model,
+                     "grid": {"x_lo": -4.0, "x_hi": 4.0, "n": 64},
+                     "init": {"kind": "csv", "path": missing}, "T": 0.1}),
+    ]
+    for k, (experiment, payload) in enumerate(cases):
+        cfg = write_cfg(tmp_path, payload, name="cfg%d.json" % k)
+        out_dir = tmp_path / ("o%d" % k)
+        assert main([experiment, "--config", cfg,
+                     "--out", str(out_dir)]) == 2, experiment
+        assert "code=2" in capsys.readouterr().err
+        assert not out_dir.exists()
 
 
 def test_particles_run_outputs(tmp_path):

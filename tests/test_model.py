@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mckeanflow as mk
 from mckeanflow import Interaction, ModelConfig, ModelError, Potential
@@ -32,6 +34,101 @@ def test_hess_inf_refines_to_stable_value():
     assert -1.0 - 5e-6 <= b <= -1.0 + 1e-12
     assert p.hess_inf(0.5, 2.0) == pytest.approx(3 * 0.25 - 1, abs=5e-6)
     assert p.hess_inf_global() == pytest.approx(-1.0, abs=5e-6)
+
+
+def _grid_min_hess(p, lo, hi, depth=3):
+    """min of V'' on a 2001-point grid over [lo, hi], refined by nested
+    grids around each discrete local minimum."""
+    xs = np.linspace(lo, hi, 2001)
+    h = p.hess(xs)
+    if depth == 0:
+        return float(h.min())
+    padded = np.concatenate(([np.inf], h, [np.inf]))
+    local = np.flatnonzero((h < padded[:-2]) & (h <= padded[2:]))
+    # V'' of degree <= 6 has at most three local minima; more only show up
+    # as rounding noise on flat stretches
+    local = local[np.argsort(h[local])[:4]]
+    return min([float(h.min())]
+               + [_grid_min_hess(p, xs[max(i - 1, 0)],
+                                 xs[min(i + 1, len(xs) - 1)], depth - 1)
+                  for i in local])
+
+
+@settings(max_examples=60, deadline=None)
+@given(half_degree=st.integers(1, 4),
+       coeffs=st.lists(st.floats(-1.0, 1.0), min_size=8, max_size=8),
+       lead=st.floats(0.5, 2.0),
+       lo=st.floats(-3.0, 3.0),
+       width=st.floats(1e-3, 6.0),
+       kind=st.sampled_from(["finite", "left", "right"]))
+def test_hess_inf_matches_dense_grid(half_degree, coeffs, lead, lo, width,
+                                     kind):
+    degree = 2 * half_degree
+    p = Potential.polynomial(coeffs[:degree] + [lead])
+    hi = lo + width
+    # every root of V''' lies within its Cauchy bound, and beyond it V''
+    # is monotone, so a window reaching past the bound holds the infimum
+    d3 = np.polynomial.polynomial.polyder(p.coefficients, 3)
+    reach = 1.0 + float(np.max(np.abs(d3[:-1] / d3[-1]), initial=0.0))
+    if kind == "left":
+        b = p.hess_inf(-np.inf, hi)
+        ref = _grid_min_hess(p, min(hi, -reach) - 1.0, hi)
+    elif kind == "right":
+        b = p.hess_inf(lo, np.inf)
+        ref = _grid_min_hess(p, lo, max(lo, reach) + 1.0)
+    else:
+        b = p.hess_inf(lo, hi)
+        ref = _grid_min_hess(p, lo, hi)
+    assert b <= ref
+    assert ref - b <= 1e-9 * (1.0 + abs(ref))
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=st.floats(-2.0, 2.0),
+       log_gap=st.floats(-12.0, -1.0),
+       b=st.floats(-3.0, 3.0),
+       quintic=st.booleans(),
+       low=st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3),
+       lo=st.floats(-4.0, -0.01),
+       hi=st.floats(0.0, 4.0),
+       kind=st.sampled_from(["finite", "left", "right"]))
+def test_hess_inf_near_coincident_roots(a, log_gap, b, quintic, low, lo, hi,
+                                        kind):
+    # V''' has two roots a and a + gap; one of them is a local minimum of
+    # V'', and polyroots may return it off by more than the gap
+    roots = [a, a + 10.0 ** log_gap, b]
+    d3 = np.polynomial.polynomial.polyfromroots(roots)
+    if quintic:
+        d3 = np.polynomial.polynomial.polymul(d3, [0.5, 0.0, 1.0])
+    p = Potential.polynomial(np.polynomial.polynomial.polyint(d3, 3, k=low))
+    lo = -np.inf if kind == "left" else lo
+    hi = np.inf if kind == "right" else hi
+    bound = p.hess_inf(lo, hi)
+    span = (max(lo, -5.0), min(hi, 5.0))  # all roots of V''' lie inside
+    ref = min(_grid_min_hess(p, *span),
+              float(np.min(p.hess(np.clip(roots, *span)))))
+    assert bound <= ref
+    assert ref - bound <= 1e-9 * (1.0 + abs(ref))
+
+
+def test_hess_inf_holds_when_root_is_off(monkeypatch):
+    # V'' = 3x^2 - 1 with the root of V''' returned 1e-6 off: the first
+    # brackets about it read + and +, and only a wider one finds x = 0
+    monkeypatch.setattr(np.polynomial.polynomial, "polyroots",
+                        lambda c: np.array([1e-6]))
+    b = Potential.double_well().hess_inf(-2.0, 2.0)
+    assert -1.0 - 1e-12 <= b <= -1.0
+
+
+def test_four_well_curvature_minimum():
+    # V''(+-1) already clears V''(0) = -1 by more than 1, but the deepest
+    # concave region sits at the outer barriers, x = +-2.3154
+    p = Potential.polynomial(
+        np.array([0.0, 0.0, -18.0, 0.0, 49 / 4, 0.0, -7 / 3, 0.0, 1 / 8])
+        / 36.0)
+    assert p.hess_inf_global() == pytest.approx(-5.03381789, abs=1e-8)
+    _, _, kappa1 = mk.structural_constants(mk.standard_model(1.0, 0.3, p))
+    assert kappa1 == pytest.approx(6.0676, abs=1e-4)
 
 
 def test_multi_well_is_sum_of_shifted_quartics():
