@@ -16,17 +16,17 @@ from .meanfield import (FixedPoint, FixedPointSet, MeanFieldError,
                         SelfConsistency1D, contraction_factor,
                         critical_sigma2, degeneracy_bound,
                         find_fixed_points, localization_jacobian)
-from .pde import (CflError, GranularSolver, PdeError, TrajectoryLog,
-                  VfpSolver, granular_run, vfp_run)
-from .particles import (ParticleEnsemble, ParticleError, ParticleLog,
-                        empirical_w2, free_energy_proxy, nn_entropy,
-                        run_particles, step_kinetic, step_overdamped)
+from .pde import (CflError, GranularSolver, PdeError, VfpSolver,
+                  granular_run, vfp_run)
+from .particles import (ParticleEnsemble, ParticleError, empirical_w2,
+                        free_energy_proxy, nn_entropy, run_particles,
+                        step_kinetic, step_overdamped)
 from .certificates import (CertificateError, CertificateReport,
                            CoreConstants, build_certificate, lsi_eta,
                            nonlinear_lsi_eta_bar, q_t, stability_radius,
                            structural_constants)
-from .analysis import (AnalysisError, RateFit, detect_sign_change,
-                       fit_exponential, fit_power)
+from .analysis import (AnalysisError, RateFit, TrajectoryLog,
+                       detect_sign_change, fit_exponential, fit_power)
 
 __all__ = [
     "__version__",
@@ -39,14 +39,13 @@ __all__ = [
     "FixedPoint", "FixedPointSet", "MeanFieldError", "SelfConsistency1D",
     "contraction_factor", "critical_sigma2", "degeneracy_bound",
     "find_fixed_points", "localization_jacobian",
-    "CflError", "GranularSolver", "PdeError", "TrajectoryLog", "VfpSolver",
-    "granular_run", "vfp_run",
-    "ParticleEnsemble", "ParticleError", "ParticleLog", "empirical_w2",
-    "free_energy_proxy", "nn_entropy", "run_particles", "step_kinetic",
-    "step_overdamped",
+    "CflError", "GranularSolver", "PdeError", "VfpSolver", "granular_run",
+    "vfp_run",
+    "ParticleEnsemble", "ParticleError", "empirical_w2", "free_energy_proxy",
+    "nn_entropy", "run_particles", "step_kinetic", "step_overdamped",
     "CertificateError", "CertificateReport", "CoreConstants",
     "build_certificate", "lsi_eta", "nonlinear_lsi_eta_bar", "q_t",
     "stability_radius", "structural_constants",
-    "AnalysisError", "RateFit", "detect_sign_change", "fit_exponential",
-    "fit_power",
+    "AnalysisError", "RateFit", "TrajectoryLog", "detect_sign_change",
+    "fit_exponential", "fit_power",
 ]

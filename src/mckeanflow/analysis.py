@@ -1,14 +1,71 @@
-"""Trajectory post-processing: decay-rate fits and sign-change detection."""
+"""Trajectories: the sampling run loop, the sample log, decay-rate fits
+and sign-change detection."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Callable, Sequence
 
 import numpy as np
 
 
 class AnalysisError(ValueError):
     pass
+
+
+@dataclass
+class TrajectoryLog:
+    """Samples along a run: one row of floats per sample, time first."""
+
+    columns: tuple[str, ...]
+    rows: list[tuple[float, ...]] = field(default_factory=list)
+
+    def append(self, *vals: float) -> None:
+        if len(vals) != len(self.columns):
+            raise AnalysisError("expected %d values" % len(self.columns))
+        if self.rows and not vals[0] > self.rows[-1][0]:
+            raise AnalysisError("times must be strictly increasing")
+        self.rows.append(tuple(float(v) for v in vals))
+
+    def column(self, name: str) -> np.ndarray:
+        i = self.columns.index(name)
+        return np.array([r[i] for r in self.rows])
+
+    @property
+    def t(self) -> np.ndarray:
+        return self.column("t")
+
+    def to_csv_text(self) -> str:
+        lines = [",".join(self.columns)]
+        for r in self.rows:
+            lines.append(",".join("%.17g" % v for v in r))
+        return "\n".join(lines) + "\n"
+
+    def to_csv(self, path) -> None:
+        with open(path, "w") as fh:
+            fh.write(self.to_csv_text())
+
+
+def sampled_run(step: Callable[[], None],
+                sample: Callable[[], Sequence[float]],
+                columns: tuple[str, ...], dt: float, T: float,
+                record_every: int | None = None) -> TrajectoryLog:
+    """Take max(1, ceil(T/dt)) steps and log a `sample()` row before the
+    first step, after every `record_every`-th step and after the last.
+
+    The step count forgives T/dt a 1e-12 rounding excess.  record_every
+    None aims at about 400 samples.
+    """
+    n_steps = max(1, int(np.ceil(T / dt - 1e-12)))
+    if record_every is None:
+        record_every = max(1, int(round(n_steps / 400)))
+    log = TrajectoryLog(columns)
+    log.append(*sample())
+    for k in range(1, n_steps + 1):
+        step()
+        if k % record_every == 0 or k == n_steps:
+            log.append(*sample())
+    return log
 
 
 @dataclass(frozen=True)

@@ -260,6 +260,12 @@ def build_certificate(model: ModelConfig, epsilon: float | None = None,
     epsilon defaults to 0.2 * m_plus.  Validation runs the overdamped
     solver on `grid_n` cells over `bounds`; any failed check marks the
     report INVALID and records the offending sample.
+
+    The q1_regularization and decay_envelope checks compare against
+    constants far above what the runs reach: at theta=1, sigma2=0.3
+    (q1 ~ 8e4, C_rate ~ 6e7) their worst ratios are about 1e-6 and 1e-8.
+    They confirm that these bounds hold, but cannot show that they are
+    sharp.
     """
     sc = _subcritical(model)
     m_plus = find_fixed_points(sc).positive_root().m

@@ -93,8 +93,8 @@ class DensityGrid1D:
             raise GridError("cannot normalize a zero density")
         return DensityGrid1D(self.x_lo, self.x_hi, self.n, self.values / m)
 
-    def is_normalized(self, tol: float = 1e-8) -> bool:
-        return abs(self.mass() - 1.0) <= tol
+    def is_normalized(self) -> bool:
+        return abs(self.mass() - 1.0) <= 1e-8
 
     def mean(self) -> float:
         return float(np.dot(self.centers, self.values) * self.dx)
@@ -110,11 +110,12 @@ class DensityGrid1D:
     # ---- constructors ----------------------------------------------------
 
     @staticmethod
-    def from_function(fn, x_lo: float, x_hi: float, n: int,
-                      normalize: bool = True) -> "DensityGrid1D":
+    def from_function(fn, x_lo: float, x_hi: float,
+                      n: int) -> "DensityGrid1D":
+        """fn sampled at the cell centers, clipped at 0 and normalized."""
         xs = DensityGrid1D(x_lo, x_hi, n, np.ones(n)).centers
-        rho = DensityGrid1D(x_lo, x_hi, n, np.maximum(fn(xs), 0.0))
-        return rho.normalize() if normalize else rho
+        return DensityGrid1D(x_lo, x_hi, n,
+                             np.maximum(fn(xs), 0.0)).normalize()
 
     @staticmethod
     def gaussian(x_lo: float, x_hi: float, n: int, mean: float,
@@ -143,12 +144,6 @@ class DensityGrid1D:
             vals += (weight / (std * np.sqrt(2.0 * np.pi))
                      * np.exp(-0.5 * ((xs - mean) / std) ** 2))
         return DensityGrid1D(x_lo, x_hi, n, vals).normalize()
-
-
-def default_bounds(model: ModelConfig) -> tuple[float, float]:
-    """Default truncation [-6, 6]*max(1, sigma)."""
-    s = max(1.0, np.sqrt(model.sigma2))
-    return (-6.0 * s, 6.0 * s)
 
 
 # ---- scalar diagnostics ----------------------------------------------------
@@ -248,20 +243,6 @@ def total_variation(nu: DensityGrid1D, mu: DensityGrid1D) -> float:
 
 # ---- quantiles and Wasserstein-2 -------------------------------------------
 
-@dataclass
-class QuantileTable:
-    """Quantiles of a 1D density at m equally spaced levels (k-1/2)/m."""
-
-    levels: np.ndarray
-    quantiles: np.ndarray
-
-    def __post_init__(self):
-        if len(self.levels) < 64:
-            raise GridError("need at least 64 quantile levels")
-        if np.any(np.diff(self.quantiles) < -1e-12):
-            raise GridError("quantiles must be nondecreasing")
-
-
 def quantiles_at(rho: DensityGrid1D, u: np.ndarray) -> np.ndarray:
     """Inverse CDF with linear interpolation inside cells.
 
@@ -284,14 +265,9 @@ def quantiles_at(rho: DensityGrid1D, u: np.ndarray) -> np.ndarray:
     return rho.edges[idx - 1] + frac * rho.dx
 
 
-def quantile_table(rho: DensityGrid1D, m: int = 4096) -> QuantileTable:
-    u = (np.arange(m) + 0.5) / m
-    return QuantileTable(u, quantiles_at(rho, u))
-
-
-def wasserstein2(nu: DensityGrid1D, mu: DensityGrid1D, m: int = 4096) -> float:
-    """W2 via the 1D quantile formula on m midpoint levels."""
-    u = (np.arange(m) + 0.5) / m
+def wasserstein2(nu: DensityGrid1D, mu: DensityGrid1D) -> float:
+    """W2 via the 1D quantile formula on 4096 midpoint levels."""
+    u = (np.arange(4096) + 0.5) / 4096
     qn = quantiles_at(nu, u)
     qm = quantiles_at(mu, u)
     return float(np.sqrt(np.mean((qn - qm) ** 2)))
@@ -412,11 +388,6 @@ def phase_csv_text(rho: PhaseGrid2D) -> str:
         for j, v in enumerate(vs):
             lines.append(f"{x:.17g},{v:.17g},{rho.values[i, j]:.17g}")
     return "\n".join(lines) + "\n"
-
-
-def phase_to_csv(rho: PhaseGrid2D, path) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(phase_csv_text(rho))
 
 
 def density_from_csv(path, x_lo: float, x_hi: float, n: int) -> DensityGrid1D:

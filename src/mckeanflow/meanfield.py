@@ -45,23 +45,21 @@ class LocalizationError(MeanFieldError):
 class SelfConsistency1D:
     """Quadrature-backed evaluation of the local-equilibrium family.
 
-    Composite Gauss-Legendre quadrature with `nodes_per_unit` nodes per
-    unit length on [-R, R].  R grows automatically until the integrand at
-    the boundary is below 1e-14 relative to its peak for every queried m,
-    so moments and log-partition values carry no visible truncation bias.
+    Composite Gauss-Legendre quadrature with 40 nodes on each panel of
+    length 0.1 (400 per unit length) on [-R, R], starting at R = 6.  R
+    grows automatically until the integrand at the boundary is below 1e-14
+    relative to its peak for every queried m, so moments and log-partition
+    values carry no visible truncation bias.
     """
 
-    def __init__(self, model: ModelConfig, radius: float = 6.0,
-                 nodes_per_unit: int = 400):
+    def __init__(self, model: ModelConfig):
         self.model = model
-        self.nodes_per_unit = int(nodes_per_unit)
         self._panel = 0.1
-        self._build(max(radius, 2.0))
+        self._build(6.0)
 
     def _build(self, radius: float) -> None:
-        per_panel = max(4, int(round(self.nodes_per_unit * self._panel)))
         n_panels = int(np.ceil(2.0 * radius / self._panel))
-        z, w = np.polynomial.legendre.leggauss(per_panel)
+        z, w = np.polynomial.legendre.leggauss(40)
         lefts = -radius + np.arange(n_panels) * self._panel
         half = 0.5 * self._panel
         nodes = (lefts[:, None] + half * (z[None, :] + 1.0)).ravel()
@@ -157,15 +155,14 @@ class FixedPointSet:
         return max(pos, key=lambda p: p.m)
 
 
-def find_fixed_points(sc: SelfConsistency1D, interval=None,
-                      tol: float = 1e-12,
-                      degenerate_threshold: float = 1e-4) -> FixedPointSet:
-    """All roots of f(m) - m, bracketed on a scan grid then bisected.
+def find_fixed_points(sc: SelfConsistency1D) -> FixedPointSet:
+    """All roots of f(m) - m, bracketed on a scan grid then bisected to
+    1e-12.  A root with |f' - 1| < 1e-4 is flagged degenerate.
 
-    The interval is expanded until f - id has the sign of -m at both ends,
-    which always happens because f is bounded.
+    The scan interval starts at [-2, 2] and is expanded until f - id has
+    the sign of -m at both ends, which always happens because f is bounded.
     """
-    lo, hi = interval if interval is not None else (-2.0, 2.0)
+    lo, hi = -2.0, 2.0
     h = lambda m: sc.mean_map(m) - m
     for _ in range(60):
         if h(lo) > 0 and h(hi) < 0:
@@ -181,7 +178,7 @@ def find_fixed_points(sc: SelfConsistency1D, interval=None,
         if a == 0.0:
             roots.append(float(grid[i]))
         elif a * b < 0:
-            roots.append(float(brentq(h, grid[i], grid[i + 1], xtol=tol)))
+            roots.append(float(brentq(h, grid[i], grid[i + 1], xtol=1e-12)))
     if vals[-1] == 0.0:
         roots.append(float(grid[-1]))
     out = FixedPointSet()
@@ -191,14 +188,13 @@ def find_fixed_points(sc: SelfConsistency1D, interval=None,
         fp = sc.mean_map_derivative(r)
         out.points.append(FixedPoint(
             m=r, fprime=fp, stable=fp < 1.0,
-            degenerate=abs(fp - 1.0) < degenerate_threshold,
+            degenerate=abs(fp - 1.0) < 1e-4,
             iteration_stable=abs(fp) < 1.0))
     return out
 
 
-def critical_sigma2(model: ModelConfig, bracket=(0.3, 1.0),
-                    tol: float = 1e-8, nodes_per_unit: int = 400) -> float:
-    """Temperature where f'(0) = 1, by bisection in sigma2.
+def critical_sigma2(model: ModelConfig, bracket=(0.3, 1.0)) -> float:
+    """Temperature where f'(0) = 1, by bisection in sigma2 to 1e-8.
 
     Requires f'(0) > 1 at the low end of the bracket and < 1 at the high
     end; f'(0) is strictly decreasing in sigma2 in the confining case.
@@ -206,13 +202,12 @@ def critical_sigma2(model: ModelConfig, bracket=(0.3, 1.0),
     lo, hi = float(bracket[0]), float(bracket[1])
 
     def slope_gap(s2: float) -> float:
-        sc = SelfConsistency1D(model.with_sigma2(s2),
-                               nodes_per_unit=nodes_per_unit)
+        sc = SelfConsistency1D(model.with_sigma2(s2))
         return sc.mean_map_derivative(0.0) - 1.0
 
     if not (slope_gap(lo) > 0 > slope_gap(hi)):
         raise MeanFieldError("invalid bracket: f'(0)-1 does not change sign")
-    return float(brentq(slope_gap, lo, hi, xtol=tol))
+    return float(brentq(slope_gap, lo, hi, xtol=1e-8))
 
 
 def contraction_factor(sc: SelfConsistency1D, epsilon: float) -> float:
@@ -265,16 +260,16 @@ class DegenerateFit:
     fit_residual: float
 
 
-def degeneracy_bound(sc: SelfConsistency1D, m_max: float = 3.0,
-                     slope_tol: float = 1e-4) -> DegenerateFit:
+def degeneracy_bound(sc: SelfConsistency1D) -> DegenerateFit:
     """Critical-temperature degeneracy certificate.
 
-    Fits m - f(m) = s*m**3 + c5*m**5 near 0 (s > 0 is the cubic
-    degeneracy coefficient) and reports the smallest beta with
+    Requires |f'(0) - 1| <= 1e-4.  Fits m - f(m) = s*m**3 + c5*m**5 near
+    0 (s > 0 is the cubic degeneracy coefficient) and reports the smallest
+    beta with
         |m| <= beta * (|m - f(m)| + |m - f(m)|**(1/3))
-    on a grid of [-m_max, m_max].
+    on a grid of [-3, 3].
     """
-    if abs(sc.mean_map_derivative(0.0) - 1.0) > slope_tol:
+    if abs(sc.mean_map_derivative(0.0) - 1.0) > 1e-4:
         raise MeanFieldError("not at the critical temperature: f'(0) != 1")
     ms = np.linspace(0.02, 0.4, 40)
     d = np.array([m - sc.mean_map(m) for m in ms])
@@ -284,7 +279,7 @@ def degeneracy_bound(sc: SelfConsistency1D, m_max: float = 3.0,
     if s <= 0:
         raise MeanFieldError("cubic degeneracy coefficient is not positive")
     resid = float(np.max(np.abs(basis @ coef - d)) / np.max(np.abs(d)))
-    grid = np.linspace(-m_max, m_max, 601)
+    grid = np.linspace(-3.0, 3.0, 601)
     beta = 0.0
     for m in grid:
         if abs(m) < 1e-3:
@@ -296,9 +291,9 @@ def degeneracy_bound(sc: SelfConsistency1D, m_max: float = 3.0,
 
 
 def discrete_fixed_mean(model: ModelConfig, x_lo: float, x_hi: float,
-                        n: int, m0: float, tol: float = 1e-14,
-                        max_iter: int = 500) -> float:
-    """Fixed point of the grid-discretized mean map, by plain iteration.
+                        n: int, m0: float) -> float:
+    """Fixed point of the grid-discretized mean map, by plain iteration
+    until successive means differ by less than 1e-14 (at most 500 steps).
 
     The discretized Gibbs density at this mean is an exact steady state
     of the exponential-fitting solver; the continuum fixed point differs
@@ -306,17 +301,16 @@ def discrete_fixed_mean(model: ModelConfig, x_lo: float, x_hi: float,
     this one.  Iteration requires |f'| < 1 at the target.
     """
     m = float(m0)
-    for _ in range(max_iter):
+    for _ in range(500):
         m_new = equilibrium_for_mean(model, m, x_lo, x_hi, n).mean()
-        if abs(m_new - m) < tol:
+        if abs(m_new - m) < 1e-14:
             return m_new
         m = m_new
     raise MeanFieldError("discrete mean map iteration did not converge")
 
 
 def localization_jacobian(model: ModelConfig, a: float, sigma2: float,
-                          search_radius: float = 0.5,
-                          nodes_per_unit: int = 400) -> float:
+                          search_radius: float = 0.5) -> float:
     """f'(psi*) at the fixed point localized near a potential minimum a.
 
     Requires V'(a) = 0 and V''(a) > 0.  As sigma2 -> 0 the value tends to
@@ -328,8 +322,7 @@ def localization_jacobian(model: ModelConfig, a: float, sigma2: float,
         raise MeanFieldError("a is not a critical point of the potential")
     if float(pot.hess(a)) <= 0:
         raise MeanFieldError("a is not a nondegenerate local minimum")
-    sc = SelfConsistency1D(model.with_sigma2(sigma2),
-                           nodes_per_unit=nodes_per_unit)
+    sc = SelfConsistency1D(model.with_sigma2(sigma2))
     h = lambda m: sc.mean_map(m) - m
     lo, hi = a - search_radius, a + search_radius
     if not (h(lo) > 0 > h(hi)):

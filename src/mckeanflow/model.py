@@ -174,8 +174,8 @@ class Potential:
         """Lower bound for inf of V'' over the whole line."""
         return self.hess_inf(-np.inf, np.inf)
 
-    def is_even(self, tol: float = 0.0) -> bool:
-        return all(abs(c) <= tol for c in self.coefficients[1::2])
+    def is_even(self) -> bool:
+        return all(c == 0 for c in self.coefficients[1::2])
 
 
 @dataclass(frozen=True)

@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import digamma
 
+from .analysis import TrajectoryLog, sampled_run
 from .grid import DensityGrid1D, quantiles_at
 from .model import ModelConfig
 
@@ -46,8 +47,8 @@ class ParticleEnsemble:
     """State of an N-particle system.
 
     mode is "overdamped" (positions only) or "kinetic" (positions and
-    velocities).  positions has shape (N,) in 1D or (N, d); velocities
-    matches in kinetic mode.
+    velocities).  positions has shape (N,); velocities matches in kinetic
+    mode.
     """
 
     mode: str
@@ -61,6 +62,8 @@ class ParticleEnsemble:
         if self.mode not in ("overdamped", "kinetic"):
             raise ParticleError("mode must be overdamped or kinetic")
         self.positions = np.array(self.positions, dtype=float)
+        if self.positions.ndim != 1:
+            raise ParticleError("positions must be a 1d array")
         if self.positions.shape[0] < 2:
             raise ParticleError("need at least 2 particles")
         if not np.all(np.isfinite(self.positions)):
@@ -77,23 +80,18 @@ class ParticleEnsemble:
     def n(self) -> int:
         return self.positions.shape[0]
 
-    @property
-    def dim(self) -> int:
-        return 1 if self.positions.ndim == 1 else self.positions.shape[1]
-
     # ---- constructors ----------------------------------------------------
 
     @classmethod
     def gaussian(cls, mode: str, n: int, mean: float, std: float,
-                 seed: int, sigma2_velocity: float | None = None,
-                 dim: int = 1) -> "ParticleEnsemble":
-        shape = (n,) if dim == 1 else (n, dim)
-        x = mean + std * _stream(seed, _INIT_STREAM).standard_normal(shape)
+                 seed: int, sigma2_velocity: float | None = None
+                 ) -> "ParticleEnsemble":
+        x = mean + std * _stream(seed, _INIT_STREAM).standard_normal(n)
         v = None
         if mode == "kinetic":
             s = np.sqrt(sigma2_velocity) if sigma2_velocity else 0.0
             # separate stream so position draws stay N-prefix-stable
-            v = s * _stream(seed, _INIT_STREAM + 1).standard_normal(shape)
+            v = s * _stream(seed, _INIT_STREAM + 1).standard_normal(n)
         return cls(mode, x, v, rng_seed=seed)
 
     @classmethod
@@ -123,7 +121,7 @@ def step_overdamped(ens: ParticleEnsemble, model: ModelConfig,
     if dt <= 0:
         raise ParticleError("dt must be positive")
     x = ens.positions
-    xbar = x.mean(axis=0)
+    xbar = x.mean()
     force = -model.potential.grad(x) - 2.0 * model.theta * (x - xbar)
     noise = _stream(ens.rng_seed, ens.steps).standard_normal(x.shape)
     x += dt * force + np.sqrt(2.0 * model.sigma2 * dt) * noise
@@ -140,7 +138,7 @@ def step_kinetic(ens: ParticleEnsemble, model: ModelConfig,
         raise ParticleError("dt must be positive")
     x = ens.positions
     v = ens.velocities
-    xbar = x.mean(axis=0)
+    xbar = x.mean()
     force = -model.potential.grad(x) - 2.0 * model.theta * (x - xbar)
     noise = _stream(ens.rng_seed, ens.steps).standard_normal(x.shape)
     x += dt * v
@@ -185,8 +183,6 @@ def free_energy_proxy(ens: ParticleEnsemble, model: ModelConfig) -> float:
     the N-body law; under approximate exchangeable independence the bias
     is small, and that caveat is inherited by every consumer.
     """
-    if ens.dim != 1:
-        raise ParticleError("free-energy proxy is 1D only")
     if ens.n < 64:
         raise ParticleError("need at least 64 particles")
     x = ens.positions
@@ -198,56 +194,28 @@ def free_energy_proxy(ens: ParticleEnsemble, model: ModelConfig) -> float:
 def empirical_w2(ens: ParticleEnsemble, reference: DensityGrid1D) -> float:
     """Quantile coupling of sorted samples against reference quantiles at
     levels (i - 1/2)/N; returns the RMS gap."""
-    if ens.dim != 1:
-        raise ParticleError("empirical W2 is 1D only")
     x = np.sort(ens.positions)
     u = (np.arange(ens.n) + 0.5) / ens.n
     q = quantiles_at(reference, u)
     return float(np.sqrt(np.mean((x - q) ** 2)))
 
 
-@dataclass
-class ParticleLog:
-    rows: list[tuple[float, float, float, float, float]] = field(
-        default_factory=list)
-    columns = ("t", "mean", "var", "w2_ref", "fe_proxy")
-
-    def column(self, name: str) -> np.ndarray:
-        i = self.columns.index(name)
-        return np.array([r[i] for r in self.rows])
-
-    def to_csv_text(self) -> str:
-        lines = [",".join(self.columns)]
-        for r in self.rows:
-            lines.append(",".join("%.17g" % v for v in r))
-        return "\n".join(lines) + "\n"
-
-    def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(self.to_csv_text())
-
-
 def run_particles(ens: ParticleEnsemble, model: ModelConfig, dt: float,
                   T: float, record_every: int = 100,
                   reference: DensityGrid1D | None = None,
-                  with_proxy: bool = True) -> ParticleLog:
-    """Advance the ensemble to time T, logging empirical diagnostics."""
+                  with_proxy: bool = True) -> TrajectoryLog:
+    """Advance the ensemble to time T, logging empirical diagnostics in the
+    columns t, mean, var, w2_ref and fe_proxy (nan when not requested)."""
     if T <= 0:
         raise ParticleError("T must be positive")
     stepper = step_overdamped if ens.mode == "overdamped" else step_kinetic
-    n_steps = max(1, int(np.ceil(T / dt - 1e-12)))
-    log = ParticleLog()
 
-    def sample() -> None:
+    def sample() -> tuple[float, ...]:
         x = ens.positions
         w2 = empirical_w2(ens, reference) if reference is not None else np.nan
         fe = free_energy_proxy(ens, model) if with_proxy else np.nan
-        log.rows.append((ens.time, float(np.mean(x)), float(np.var(x)),
-                         w2, fe))
+        return ens.time, np.mean(x), np.var(x), w2, fe
 
-    sample()
-    for k in range(n_steps):
-        stepper(ens, model, dt)
-        if (k + 1) % record_every == 0 or k == n_steps - 1:
-            sample()
-    return log
+    return sampled_run(lambda: stepper(ens, model, dt), sample,
+                       ("t", "mean", "var", "w2_ref", "fe_proxy"), dt, T,
+                       record_every)

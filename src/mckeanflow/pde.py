@@ -24,11 +24,10 @@ pre-step value, so each step is linear.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
-from typing import ClassVar
 
 import numpy as np
 
+from .analysis import TrajectoryLog, sampled_run
 from .grid import (DensityGrid1D, PhaseGrid2D, _FLOOR, fisher_information,
                    free_energy, kinetic_free_energy, local_equilibrium,
                    local_equilibrium_kinetic, relative_entropy,
@@ -171,44 +170,11 @@ class GranularSolver:
         self.steps += 1
 
 
-@dataclass
-class TrajectoryLog:
-    """Sampled diagnostics along a run.
-
-    Columns: t, mean, var, F (free energy; kinetic free energy for the
-    phase-space solver), H_loc = H(rho | Gamma(rho)), Fisher =
-    I(rho | Gamma(rho)) (velocity direction only in the kinetic case),
-    W2_ref / TV_ref against an optional fixed reference (nan if absent).
-    """
-
-    columns: ClassVar[tuple[str, ...]] = (
-        "t", "mean", "var", "F", "H_loc", "Fisher", "W2_ref", "TV_ref")
-    rows: list[tuple[float, ...]] = field(default_factory=list)
-
-    def append(self, *vals: float) -> None:
-        if len(vals) != len(self.columns):
-            raise ValueError("expected %d values" % len(self.columns))
-        if self.rows and not vals[0] > self.rows[-1][0]:
-            raise ValueError("times must be strictly increasing")
-        self.rows.append(tuple(float(v) for v in vals))
-
-    def column(self, name: str) -> np.ndarray:
-        i = self.columns.index(name)
-        return np.array([r[i] for r in self.rows])
-
-    @property
-    def t(self) -> np.ndarray:
-        return self.column("t")
-
-    def to_csv_text(self) -> str:
-        lines = [",".join(self.columns)]
-        for r in self.rows:
-            lines.append(",".join("%.17g" % v for v in r))
-        return "\n".join(lines) + "\n"
-
-    def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(self.to_csv_text())
+# Sampled diagnostics of both solvers: F is the free energy (kinetic free
+# energy for the phase-space solver), H_loc = H(rho | Gamma(rho)), Fisher =
+# I(rho | Gamma(rho)) (velocity direction only in the kinetic case), W2_ref
+# and TV_ref compare against an optional fixed reference (nan if absent).
+_COLUMNS = ("t", "mean", "var", "F", "H_loc", "Fisher", "W2_ref", "TV_ref")
 
 
 def _check_monotone(f_new: float, f_prev: float, tol_scale: float,
@@ -228,13 +194,9 @@ def granular_run(solver: GranularSolver, T: float,
     """
     if T <= 0:
         raise PdeError("T must be positive")
-    n_steps = max(1, int(np.ceil(T / solver.dt - 1e-12)))
-    if record_every is None:
-        record_every = max(1, int(round(n_steps / 400)))
-    log = TrajectoryLog()
     f_prev = np.inf
 
-    def sample() -> None:
+    def sample() -> tuple[float, ...]:
         nonlocal f_prev
         rho = solver.state
         gamma = local_equilibrium(solver.model, rho)
@@ -245,16 +207,12 @@ def granular_run(solver: GranularSolver, T: float,
         if reference is not None:
             w2 = wasserstein2(rho, reference)
             tv = total_variation(rho, reference)
-        log.append(solver.time, rho.mean(), rho.variance(), f_val,
-                   relative_entropy(rho, gamma),
-                   fisher_information(rho, gamma), w2, tv)
+        return (solver.time, rho.mean(), rho.variance(), f_val,
+                relative_entropy(rho, gamma),
+                fisher_information(rho, gamma), w2, tv)
 
-    sample()
-    for k in range(n_steps):
-        solver.step()
-        if (k + 1) % record_every == 0 or k == n_steps - 1:
-            sample()
-    return log
+    return sampled_run(solver.step, sample, _COLUMNS, solver.dt, T,
+                       record_every)
 
 
 # ---- kinetic solver ----------------------------------------------------------
@@ -273,14 +231,16 @@ class VfpSolver:
     error remains, so the kinetic free energy decays cleanly.
 
     The three enable flags exist for sub-step exactness tests (free
-    transport, pure relaxation); production runs keep them all True.  With
-    diffusion off but force on, the force sub-step falls back to explicit
-    upwind transport in v.
+    transport, pure relaxation); production runs keep them all True.  The
+    force acts only inside the implicit velocity solve, so it cannot be
+    enabled with diffusion off.
     """
 
     def __init__(self, model: ModelConfig, state: PhaseGrid2D,
                  dt: float | None = None, enable_transport: bool = True,
                  enable_force: bool = True, enable_diffusion: bool = True):
+        if enable_force and not enable_diffusion:
+            raise PdeError("the force sub-step needs diffusion enabled")
         self.model = model
         self.grid = state
         self._rho = state.values.copy()
@@ -377,17 +337,6 @@ class VfpSolver:
         rho[np.abs(rho) < 1e-13 * rho.max()] = 0.0
         self._rho = rho
 
-    def _transport_v(self, tau: float, force: np.ndarray) -> None:
-        # explicit upwind fallback, used only when diffusion is disabled
-        rho = self._rho
-        s = -force[:, None]
-        flux = (np.maximum(s, 0.0) * rho[:, :-1]
-                + np.minimum(s, 0.0) * rho[:, 1:])
-        r = tau / self.grid.dv
-        rho[:, 1:-1] += r * (flux[:, :-1] - flux[:, 1:])
-        rho[:, 0] -= r * flux[:, 0]
-        rho[:, -1] += r * flux[:, -1]
-
     def step(self) -> None:
         m = self.x_mean()
         force = self._force(m)
@@ -404,8 +353,6 @@ class VfpSolver:
         if self.enable_diffusion:
             self._cc_v_solve(force if self.enable_force
                              else np.zeros_like(force))
-        elif self.enable_force:
-            self._transport_v(self.dt, force)
         if self.enable_transport:
             self._transport_x_half()
         rho = self._rho
@@ -476,13 +423,9 @@ def vfp_run(solver: VfpSolver, T: float, record_every: int | None = None,
     """
     if T <= 0:
         raise PdeError("T must be positive")
-    n_steps = max(1, int(np.ceil(T / solver.dt - 1e-12)))
-    if record_every is None:
-        record_every = max(1, int(round(n_steps / 400)))
-    log = TrajectoryLog()
     f_prev = np.inf
 
-    def sample() -> None:
+    def sample() -> tuple[float, ...]:
         nonlocal f_prev
         state = solver.state
         gamma = local_equilibrium_kinetic(solver.model, state)
@@ -494,13 +437,9 @@ def vfp_run(solver: VfpSolver, T: float, record_every: int | None = None,
         if reference is not None:
             w2 = wasserstein2(xm, reference)
             tv = total_variation(xm, reference)
-        log.append(solver.time, xm.mean(), xm.variance(), f_val,
-                   _relative_entropy_2d(state, gamma),
-                   _fisher_v(state, gamma), w2, tv)
+        return (solver.time, xm.mean(), xm.variance(), f_val,
+                _relative_entropy_2d(state, gamma),
+                _fisher_v(state, gamma), w2, tv)
 
-    sample()
-    for k in range(n_steps):
-        solver.step()
-        if (k + 1) % record_every == 0 or k == n_steps - 1:
-            sample()
-    return log
+    return sampled_run(solver.step, sample, _COLUMNS, solver.dt, T,
+                       record_every)

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import mckeanflow as mk
-from mckeanflow import AnalysisError
+from mckeanflow import AnalysisError, TrajectoryLog
+from mckeanflow.analysis import sampled_run
 
 
 def test_fit_exponential_synthetic():
@@ -84,3 +85,34 @@ def test_detect_sign_change_first_crossing_only():
     y = np.array([1.0, -1.0, 1.0, -1.0, 1.0])
     tc = mk.detect_sign_change(t, y)
     assert tc == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize("T, record_every, n_steps, n_rows", [
+    (1.0, 3, 10, 5),       # 3 does not divide 10: the last step still logs
+    (1.1, 4, 11, 4),       # T/dt = 11.000000000000002 is still 11 steps
+    (0.95, 5, 10, 3),      # a partial step rounds up
+    (1e-3, 7, 1, 2),       # at least one step
+    (200.0, None, 2000, 401),  # default: about 400 samples
+])
+def test_sampled_run_schedule(T, record_every, n_steps, n_rows):
+    steps = []
+    log = sampled_run(lambda: steps.append(None),
+                      lambda: (0.1 * len(steps), len(steps)),
+                      ("t", "k"), 0.1, T, record_every)
+    k = log.column("k")
+    assert len(steps) == n_steps
+    assert len(k) == n_rows
+    assert k[0] == 0 and k[-1] == n_steps
+    every = record_every or 5
+    assert list(k[1:-1]) == list(range(every, n_steps, every))
+
+
+def test_trajectory_log_rejects_bad_rows():
+    log = TrajectoryLog(("t", "x"))
+    log.append(0.0, 1.0)
+    with pytest.raises(AnalysisError):
+        log.append(1.0)
+    with pytest.raises(AnalysisError):
+        log.append(0.0, 2.0)
+    assert log.rows == [(0.0, 1.0)]
+    assert log.to_csv_text() == "t,x\n0,1\n"

@@ -13,8 +13,13 @@ def test_ensemble_validation():
         ParticleEnsemble("weird", np.zeros(4))
     with pytest.raises(ParticleError):
         ParticleEnsemble("overdamped", np.array([0.0, np.inf]))
+    with pytest.raises(ParticleError):
+        ParticleEnsemble("overdamped", np.zeros((8, 2)))
     ens = ParticleEnsemble("kinetic", np.zeros(8))
     assert ens.velocities.shape == (8,)
+    for T in (0.0, -1.0):
+        with pytest.raises(ParticleError):
+            mk.run_particles(ens, mk.standard_model(1.0, 0.3), 1e-3, T)
 
 
 def test_seed_determinism():

@@ -35,6 +35,9 @@ def test_granular_rejects_bad_input():
     unnorm = DensityGrid1D(-4, 4, 128, 2.0 * rho.values)
     with pytest.raises(PdeError):
         GranularSolver(model, unnorm)
+    for T in (0.0, -1.0):
+        with pytest.raises(PdeError):
+            mk.granular_run(GranularSolver(model, rho), T)
 
 
 def test_granular_cfl_violation_names_admissible_dt():
@@ -279,6 +282,11 @@ def test_vfp_preconditions(dw03):
                           0.0, np.sqrt(0.3))
     with pytest.raises(PdeError):
         VfpSolver(dw03, state, dt=0.0)
+    with pytest.raises(PdeError):
+        VfpSolver(dw03, state, enable_diffusion=False)
+    for T in (0.0, -1.0):
+        with pytest.raises(PdeError):
+            mk.vfp_run(VfpSolver(dw03, state), T)
     s = VfpSolver(dw03, state, dt=10.0)
     with pytest.raises(CflError):
         s.step()
