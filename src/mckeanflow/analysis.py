@@ -41,10 +41,6 @@ class TrajectoryLog:
             lines.append(",".join("%.17g" % v for v in r))
         return "\n".join(lines) + "\n"
 
-    def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(self.to_csv_text())
-
 
 def sampled_run(step: Callable[[], None],
                 sample: Callable[[], Sequence[float]],

@@ -99,10 +99,6 @@ class DensityGrid1D:
     def mean(self) -> float:
         return float(np.dot(self.centers, self.values) * self.dx)
 
-    def second_moment(self) -> float:
-        xs = self.centers
-        return float(np.dot(xs * xs, self.values) * self.dx)
-
     def variance(self) -> float:
         d = self.centers - self.mean()
         return float(np.dot(d * d, self.values) * self.dx)
@@ -374,11 +370,6 @@ def density_csv_text(rho: DensityGrid1D) -> str:
     for x, v in zip(rho.centers, rho.values):
         lines.append(f"{x:.17g},{v:.17g}")
     return "\n".join(lines) + "\n"
-
-
-def density_to_csv(rho: DensityGrid1D, path) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(density_csv_text(rho))
 
 
 def phase_csv_text(rho: PhaseGrid2D) -> str:

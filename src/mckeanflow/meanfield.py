@@ -110,9 +110,6 @@ class SelfConsistency1D:
         _, _, var = self.moments(m)
         return 2.0 * self.model.theta / self.model.sigma2 * var
 
-    def variance(self, m: float) -> float:
-        return self.moments(m)[2]
-
     def effective_potential(self, m: float) -> float:
         """g(m) = -sigma2 * log Z(m); g'(m) = 2*theta*(m - f(m))."""
         logz, _, _ = self.moments(m)

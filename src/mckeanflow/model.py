@@ -190,10 +190,6 @@ class Interaction:
 
     theta: float
 
-    def kernel(self, x, y):
-        d = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
-        return self.theta * d * d
-
 
 @dataclass(frozen=True)
 class ModelConfig:

@@ -8,14 +8,14 @@ and its kinetic counterpart on (x, v):
 
     d/dt rho + v d/dx rho = d/dv ( sigma2 * d/dv rho + (v + E'(x)) rho ).
 
-The overdamped solver uses an exponential-fitting flux (Chang-Cooper
-weights): with frozen mean the discretized Gibbs density is exactly
-stationary, every cell stays nonnegative under the CFL bound, and no-flux
-boundaries conserve mass to machine precision.  A plain upwind scheme is
-kept as a cross-check option.  The kinetic solver is a Strang splitting
-(half x-transport, half force transport in v, full implicit
-friction-diffusion in v, then the halves in reverse), each sub-step
-individually conservative.
+Both solvers share one exponential-fitting flux (Chang-Cooper weights):
+with frozen mean the discretized Gibbs density is exactly stationary,
+every cell stays nonnegative (under the CFL bound for the explicit
+overdamped step), and no-flux boundaries conserve mass to machine
+precision.  A plain upwind scheme is kept as a cross-check option for the
+overdamped solver.  The kinetic solver is a Strang splitting: half
+x-transport, then force, friction and diffusion in v as one implicit
+solve, then the other half x-transport; each sub-step is conservative.
 
 The mean-field coupling is explicit: every step freezes m(rho) at its
 pre-step value, so each step is linear.
@@ -26,6 +26,7 @@ from __future__ import annotations
 import warnings
 
 import numpy as np
+from scipy.linalg import solve_banded
 
 from .analysis import TrajectoryLog, sampled_run
 from .grid import (DensityGrid1D, PhaseGrid2D, _FLOOR, fisher_information,
@@ -43,17 +44,24 @@ class CflError(PdeError):
     """Time step exceeds the stability bound."""
 
 
-def _p_weights(w: np.ndarray) -> np.ndarray:
-    """P(w) = w / (e^w - 1) with P(0) = 1; P(-w) = P(w) + w.
+def _cc_fluxes(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Chang-Cooper weights for interface weights w along the last axis.
 
-    These are the exponential-fitting flux weights: they make the flux
-    vanish identically on cell ratios rho_{i+1}/rho_i = e^w.
+    b = P(w) = w / (e^w - 1) with P(0) = 1, and a = P(w) + w = P(-w).  The
+    flux through interface i+1/2 is a_i*rho_i - b_i*rho_{i+1} in units of
+    sigma2/h; it vanishes identically on cell ratios rho_{i+1}/rho_i =
+    e^{w_i}.  out_i = a_i + b_{i-1} is cell i's total outflow weight under
+    no-flux ends.
     """
     small = np.abs(w) < 1e-8
     with np.errstate(over="ignore"):
         den = np.expm1(w)
-    safe = np.where(small, 1.0, den)
-    return np.where(small, 1.0 - 0.5 * w, w / safe)
+    b = np.where(small, 1.0 - 0.5 * w, w / np.where(small, 1.0, den))
+    a = b + w
+    out = np.zeros(w.shape[:-1] + (w.shape[-1] + 1,))
+    out[..., :-1] += a
+    out[..., 1:] += b
+    return a, b, out
 
 
 class GranularSolver:
@@ -113,20 +121,19 @@ class GranularSolver:
     def _interface_w(self, m: float) -> np.ndarray:
         return self._w_pot + self._c_mean * (m - self._x_if)
 
-    def _admissible_for_w(self, w: np.ndarray) -> tuple[float, np.ndarray]:
-        """Admissible dt for interface weights w, and the P(w) behind it."""
+    def _admissible_for_w(self, w: np.ndarray
+                          ) -> tuple[float, np.ndarray, np.ndarray]:
+        """Admissible dt for interface weights w, and the Chang-Cooper
+        weights (a, b) behind it."""
         s2 = self.model.sigma2
         # dx * max|drift| equals s2 * max|w|, so the diffusion-drift CFL
         # bound dx^2/(2*s2 + dx*max|drift|) reads s2*(2 + max|w|) below
         wmax = float(np.max(np.abs(w)))
         formula = self.dx ** 2 / (s2 * (2.0 + wmax))
         # sharp positivity bound: per-cell sum of outflow weights
-        p = _p_weights(w)
-        pm = p + w
-        coeff = max(float(pm[0]), float(p[-1]))
-        if len(p) > 1:
-            coeff = max(coeff, float(np.max(p[:-1] + pm[1:])))
-        return min(formula, self.dx ** 2 / (s2 * coeff)), p
+        a, b, out = _cc_fluxes(w)
+        coeff = float(np.max(out))
+        return min(formula, self.dx ** 2 / (s2 * coeff)), a, b
 
     def admissible_dt(self, worst_case: bool = False) -> float:
         """Largest stable dt: min of the diffusion-drift CFL bound
@@ -142,15 +149,15 @@ class GranularSolver:
         s2 = self.model.sigma2
         m = self.mean()
         w = self._interface_w(m)
-        adm, p = self._admissible_for_w(w)
+        adm, a, b = self._admissible_for_w(w)
         if self.dt > adm * (1.0 + 1e-9):
             raise CflError("dt=%.6g unstable; admissible dt <= %.6g"
                            % (self.dt, adm))
         if self.scheme == "chang-cooper":
-            flux = (s2 / self.dx) * ((p + w) * rho[:-1] - p * rho[1:])
+            flux = (s2 / self.dx) * (a * rho[:-1] - b * rho[1:])
         else:
-            b = s2 * w / self.dx
-            flux = (np.maximum(b, 0.0) * rho[:-1] + np.minimum(b, 0.0)
+            drift = s2 * w / self.dx
+            flux = (np.maximum(drift, 0.0) * rho[:-1] + np.minimum(drift, 0.0)
                     * rho[1:] + (s2 / self.dx) * (rho[:-1] - rho[1:]))
         r = self.dt / self.dx
         rho[1:-1] += r * (flux[:-1] - flux[1:])
@@ -241,6 +248,8 @@ class VfpSolver:
                  enable_force: bool = True, enable_diffusion: bool = True):
         if enable_force and not enable_diffusion:
             raise PdeError("the force sub-step needs diffusion enabled")
+        if not abs(state.mass() - 1.0) <= 1e-8:
+            raise PdeError("initial density must be normalized")
         self.model = model
         self.grid = state
         self._rho = state.values.copy()
@@ -273,35 +282,21 @@ class VfpSolver:
 
     def _cc_v_solve(self, force: np.ndarray) -> None:
         # implicit Euler for d/dt rho = d/dv ((v + force) rho + sigma2 d/dv rho)
-        # with exponential-fitting interface weights; one tridiagonal system
-        # per x column, solved by a Thomas sweep vectorized across columns.
+        # with Chang-Cooper fluxes.  The x columns do not couple, so the
+        # whole grid is one tridiagonal system in row-major order whose
+        # couplings across column ends are zero.
         s2 = self.model.sigma2
         dv = self.grid.dv
         v_if = 0.5 * (self._v[:-1] + self._v[1:])
-        drift = v_if[None, :] + force[:, None]          # (n_x, n_v-1)
-        w = -drift * dv / s2
-        p = _p_weights(w)
-        pm = p + w
+        w = -(v_if[None, :] + force[:, None]) * dv / s2     # (n_x, n_v-1)
+        a, b, out = _cc_fluxes(w)
         kk = s2 * self.dt / dv ** 2
-        n_x, n_v = self._rho.shape
-        diag = np.ones((n_x, n_v))
-        diag[:, :-1] += kk * pm          # outflow through the upper interface
-        diag[:, 1:] += kk * p            # outflow through the lower interface
-        sup = -kk * p                    # gain from above, row j, j <= n-2
-        sub = -kk * pm                   # gain from below, row j+1
-        rho = self._rho
-        cp = np.empty_like(rho)
-        dp = np.empty_like(rho)
-        cp[:, 0] = sup[:, 0] / diag[:, 0]
-        dp[:, 0] = rho[:, 0] / diag[:, 0]
-        for j in range(1, n_v):
-            denom = diag[:, j] - sub[:, j - 1] * cp[:, j - 1]
-            if j < n_v - 1:
-                cp[:, j] = sup[:, j] / denom
-            dp[:, j] = (rho[:, j] - sub[:, j - 1] * dp[:, j - 1]) / denom
-        rho[:, -1] = dp[:, -1]
-        for j in range(n_v - 2, -1, -1):
-            rho[:, j] = dp[:, j] - cp[:, j] * rho[:, j + 1]
+        band = np.zeros((3,) + self._rho.shape)
+        band[0, :, 1:] = -kk * b         # gain from above
+        band[1] = 1.0 + kk * out
+        band[2, :, :-1] = -kk * a        # gain from below
+        self._rho = solve_banded((1, 1), band.reshape(3, -1),
+                                 self._rho.ravel()).reshape(self._rho.shape)
 
     @property
     def state(self) -> PhaseGrid2D:
@@ -378,9 +373,8 @@ class VfpSolver:
         gamma = local_equilibrium_kinetic(self.model, self.state)
         g = gamma.values
         v_if = 0.5 * (self._v[:-1] + self._v[1:])
-        w = -v_if * self.grid.dv / self.model.sigma2
-        p = _p_weights(w)
-        flux = (p + w) * g[:, :-1] - p * g[:, 1:]
+        a, b, _ = _cc_fluxes(-v_if * self.grid.dv / self.model.sigma2)
+        flux = a * g[:, :-1] - b * g[:, 1:]
         return float(np.max(np.abs(flux)) / np.max(g))
 
 

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mckeanflow as mk
-from mckeanflow import Interaction, ModelConfig, ModelError, Potential
+from mckeanflow import ModelConfig, ModelError, Potential
 
 
 def test_double_well_values():
@@ -150,15 +150,6 @@ def test_polynomial_rejects_bad_leading_term():
         Potential.polynomial([0.0, 0.0, 0.0, 1.0])  # odd leading power
     with pytest.raises(ModelError):
         Potential.polynomial([0.0, 0.0, 0.0, 0.0, -1.0])  # negative leading
-
-
-def test_interaction_kernel_symmetric():
-    w = Interaction(theta=0.7)
-    rng = np.random.default_rng(5)
-    for _ in range(20):
-        x, y = rng.normal(size=2)
-        assert w.kernel(x, y) == w.kernel(y, x)
-        assert w.kernel(x, y) == pytest.approx(0.7 * (x - y) ** 2)
 
 
 def test_model_config_validation():

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mckeanflow as mk
 from mckeanflow import (CflError, DensityGrid1D, GranularSolver, PdeError,
                         PhaseGrid2D, Potential, VfpSolver)
 from mckeanflow.grid import maxwellian
 from mckeanflow.meanfield import discrete_fixed_mean, equilibrium_for_mean
+from mckeanflow.pde import _cc_fluxes
 
 
 def gaussian_grid(x_lo, x_hi, n, mean, std):
@@ -290,6 +293,9 @@ def test_vfp_preconditions(dw03):
     s = VfpSolver(dw03, state, dt=10.0)
     with pytest.raises(CflError):
         s.step()
+    heavy = PhaseGrid2D(-2.5, 2.5, 48, -2.2, 2.2, 48, 2.0 * state.values)
+    with pytest.raises(PdeError, match="normalized"):
+        VfpSolver(dw03, heavy)
 
 
 def test_vfp_warns_on_boundary_mass(dw03):
@@ -298,3 +304,93 @@ def test_vfp_warns_on_boundary_mass(dw03):
                           0.0, np.sqrt(0.3))
     with pytest.warns(UserWarning, match="wrap"):
         VfpSolver(dw03, state)
+
+
+# ---- the shared Chang-Cooper operator ------------------------------------------
+
+
+_POTENTIALS = (
+    Potential.double_well(),
+    Potential.quadratic(),
+    Potential.polynomial([0.0, 0.3, -1.0, 0.0, 0.0, 0.0, 0.1]),
+    Potential.multi_well([(0.5, -1.0, 0.5), (0.3, 1.0, 0.8)]),
+)
+
+
+def _velocity_gibbs_setup(model, n_v, dt, n_x=16):
+    """A solver whose state is the discrete Gibbs density of the velocity
+    operator in every column (g_{j+1}/g_j = e^{w_j}) at frozen mean 0.3,
+    and the force behind it."""
+    m = 0.3
+    x = -2.0 + (np.arange(n_x) + 0.5) * (4.0 / n_x)
+    dv = 8.0 / n_v
+    v_if = -4.0 + dv * np.arange(1, n_v)
+    force = model.potential.grad(x) + 2.0 * model.theta * (x - m)
+    w = -(v_if[None, :] + force[:, None]) * dv / model.sigma2
+    log_g = np.concatenate([np.zeros((n_x, 1)), np.cumsum(w, axis=1)], axis=1)
+    cols = np.exp(log_g - log_g.max(axis=1, keepdims=True))
+    cols /= cols.sum(axis=1, keepdims=True) * dv
+    vals = np.exp(-2.0 * x ** 2)[:, None] * cols
+    state = PhaseGrid2D(-2.0, 2.0, n_x, -4.0, 4.0, n_v, vals).normalize()
+    return VfpSolver(model, state, dt=dt), force
+
+
+@pytest.mark.filterwarnings("ignore:x-boundary")
+@settings(max_examples=400, deadline=None)
+@given(pot=st.integers(0, len(_POTENTIALS) - 1),
+       theta=st.floats(-1.0, 3.0),
+       sigma2=st.floats(0.1, 2.0),
+       n_v=st.integers(16, 64),
+       log_dt=st.floats(-3.0, 0.0))
+def test_velocity_solve_keeps_column_gibbs_state(pot, theta, sigma2, n_v,
+                                                 log_dt):
+    model = mk.standard_model(theta, sigma2, potential=_POTENTIALS[pot])
+    s, force = _velocity_gibbs_setup(model, n_v, 10.0 ** log_dt)
+    g = s._rho.copy()
+    for _ in range(10):
+        s._cc_v_solve(force)
+    assert np.max(np.abs(s._rho - g)) <= 1e-11 * np.max(g)
+    assert abs(s._rho.sum() - g.sum()) <= 1e-13 * g.sum()
+    assert s._rho.min() >= 0.0
+
+
+@pytest.mark.filterwarnings("ignore:x-boundary")
+def test_velocity_band_matches_dense_solve(dw03):
+    n_x = n_v = 16
+    s, force = _velocity_gibbs_setup(dw03, n_v, 0.5, n_x=n_x)
+    rng = np.random.default_rng(7)
+    s._rho = rng.uniform(0.1, 1.0, (n_x, n_v))
+    rho0 = s._rho.ravel().copy()
+    v_if = 0.5 * (s._v[:-1] + s._v[1:])
+    w = -(v_if[None, :] + force[:, None]) * s.grid.dv / dw03.sigma2
+    a, b, _ = _cc_fluxes(w)
+    kk = dw03.sigma2 * s.dt / s.grid.dv ** 2
+    # I + kk * (outflow - inflow), one interface at a time
+    dense = np.eye(n_x * n_v)
+    for i in range(n_x):
+        for j in range(n_v - 1):
+            lo, hi = i * n_v + j, i * n_v + j + 1
+            dense[lo, lo] += kk * a[i, j]
+            dense[lo, hi] -= kk * b[i, j]
+            dense[hi, lo] -= kk * a[i, j]
+            dense[hi, hi] += kk * b[i, j]
+    s._cc_v_solve(force)
+    ref = np.linalg.solve(dense, rho0)
+    assert np.max(np.abs(s._rho.ravel() - ref)) <= 1e-12 * np.max(ref)
+
+
+@settings(max_examples=100, deadline=None)
+@given(w=st.lists(st.floats(-50.0, 50.0), min_size=1, max_size=40))
+def test_cc_flux_vanishes_on_exponential_ratio(w):
+    # rho_i = 1, rho_{i+1} = e^{w_i}: the flux a_i - b_i e^{w_i} vanishes up
+    # to rounding of the larger density times the weight
+    w = np.array([w, [-x for x in w]])
+    a, b, out = _cc_fluxes(w)
+    upper = np.exp(w)
+    flux = a - b * upper
+    scale = (1.0 + np.abs(w)) * np.maximum(1.0, upper)
+    assert np.all(np.abs(flux) <= 1e-14 * scale)
+    assert np.all(a >= 0.0) and np.all(b >= 0.0)
+    # out_i = a_i + b_{i-1}, with no inflow weight past either end
+    assert np.array_equal(out, np.concatenate(
+        [a[:, :1], a[:, 1:] + b[:, :-1], b[:, -1:]], axis=1))
