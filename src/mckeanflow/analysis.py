@@ -42,17 +42,21 @@ class TrajectoryLog:
         return "\n".join(lines) + "\n"
 
 
+def step_count(T: float, dt: float) -> int:
+    """max(1, ceil(T/dt)) steps, forgiving T/dt a 1e-12 rounding excess."""
+    return max(1, int(np.ceil(T / dt - 1e-12)))
+
+
 def sampled_run(step: Callable[[], None],
                 sample: Callable[[], Sequence[float]],
                 columns: tuple[str, ...], dt: float, T: float,
                 record_every: int | None = None) -> TrajectoryLog:
-    """Take max(1, ceil(T/dt)) steps and log a `sample()` row before the
+    """Take `step_count(T, dt)` steps and log a `sample()` row before the
     first step, after every `record_every`-th step and after the last.
 
-    The step count forgives T/dt a 1e-12 rounding excess.  record_every
-    None aims at about 400 samples.
+    record_every None aims at about 400 samples.
     """
-    n_steps = max(1, int(np.ceil(T / dt - 1e-12)))
+    n_steps = step_count(T, dt)
     if record_every is None:
         record_every = max(1, int(round(n_steps / 400)))
     log = TrajectoryLog(columns)

@@ -349,6 +349,12 @@ def _self_consistent_reference(model, grid: GridCfg,
     return equilibrium_for_mean(model, m_d, grid.x_lo, grid.x_hi, grid.n)
 
 
+def _log_cfl(ctx: RunContext, solver: GranularSolver) -> None:
+    ctx.log("covering dt=%.6g (admissible for every mean in the domain): "
+            "per-step CFL check %s" % (solver.covering_dt, "proven away"
+                                       if solver.cfl_proven else "kept"))
+
+
 def run_pde(cfg: PdeRunCfg, ctx: RunContext):
     model = cfg.model.build()
     rho0 = cfg.init.build(model, cfg.grid)
@@ -356,7 +362,8 @@ def run_pde(cfg: PdeRunCfg, ctx: RunContext):
     if cfg.reference == "self-consistent":
         ref = _self_consistent_reference(model, cfg.grid, rho0.mean())
     solver = GranularSolver(model, rho0, dt=cfg.dt, scheme=cfg.scheme)
-    ctx.log("dt=%.3g, %d cells" % (solver.dt, solver.n))
+    ctx.log("dt=%.6g, %d cells" % (solver.dt, solver.n))
+    _log_cfl(ctx, solver)
     log = granular_run(solver, cfg.T, cfg.record_every, reference=ref)
     report = {
         "final_time": solver.time,
@@ -474,7 +481,8 @@ def run_counterexample(cfg: CounterexampleCfg, ctx: RunContext):
         cfg.grid.x_lo, cfg.grid.x_hi, cfg.grid.n,
         [(1.0 - cfg.epsilon, -1.0, cfg.s0), (cfg.epsilon, far, cfg.s0)])
     solver = GranularSolver(model, rho0, dt=cfg.dt)
-    ctx.log("dt=%.3g, initial mean %.6g" % (solver.dt, rho0.mean()))
+    ctx.log("dt=%.6g, initial mean %.6g" % (solver.dt, rho0.mean()))
+    _log_cfl(ctx, solver)
     log = granular_run(solver, cfg.T, cfg.record_every)
     t_cross = detect_sign_change(log.t, log.column("mean"))
     report = {

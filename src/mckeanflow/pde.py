@@ -24,11 +24,12 @@ pre-step value, so each step is linear.
 from __future__ import annotations
 
 import warnings
+from typing import Sequence
 
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .analysis import TrajectoryLog, sampled_run
+from .analysis import TrajectoryLog, sampled_run, step_count
 from .grid import (DensityGrid1D, PhaseGrid2D, _FLOOR, fisher_information,
                    free_energy, kinetic_free_energy, local_equilibrium,
                    local_equilibrium_kinetic, relative_entropy,
@@ -44,6 +45,26 @@ class CflError(PdeError):
     """Time step exceeds the stability bound."""
 
 
+def _cc_weights(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Chang-Cooper weights a = P(-w) and b = P(w) for interface weights w,
+    with P(w) = w / (e^w - 1) and P(0) = 1."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        b = w / np.expm1(w)
+    small = np.abs(w) < 1e-8
+    if small.any():
+        b[small] = 1.0 - 0.5 * w[small]
+    return b + w, b
+
+
+def _outflow(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """out_i = a_i + b_{i-1}: each cell's total outflow weight under no-flux
+    ends."""
+    out = np.zeros(a.shape[:-1] + (a.shape[-1] + 1,))
+    out[..., :-1] += a
+    out[..., 1:] += b
+    return out
+
+
 def _cc_fluxes(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Chang-Cooper weights for interface weights w along the last axis.
 
@@ -53,15 +74,8 @@ def _cc_fluxes(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     e^{w_i}.  out_i = a_i + b_{i-1} is cell i's total outflow weight under
     no-flux ends.
     """
-    small = np.abs(w) < 1e-8
-    with np.errstate(over="ignore"):
-        den = np.expm1(w)
-    b = np.where(small, 1.0 - 0.5 * w, w / np.where(small, 1.0, den))
-    a = b + w
-    out = np.zeros(w.shape[:-1] + (w.shape[-1] + 1,))
-    out[..., :-1] += a
-    out[..., 1:] += b
-    return a, b, out
+    a, b = _cc_weights(w)
+    return a, b, _outflow(a, b)
 
 
 class GranularSolver:
@@ -70,28 +84,56 @@ class GranularSolver:
     Parameters
     ----------
     model : ModelConfig
-    state : DensityGrid1D, normalized initial density
+    state : DensityGrid1D, or a sequence of them
+        Normalized initial density.  A sequence is a stack of independent
+        runs on one grid and one dt: the step advances all rows at once,
+        each with its own mean, mass and positivity checks.  `state`,
+        `mean()` and `granular_run` serve single runs; `states` serves
+        both.
     dt : float or None
-        Time step.  None picks half the worst-case CFL bound (worst case
-        over all mean positions inside the domain hull).
+        Time step.  None picks `0.5 * admissible_dt(worst_case=True)`.
     scheme : "chang-cooper" or "upwind"
+
+    A mean m in [x_lo, x_hi] gives interface weights |w_i| <= W_i =
+    |w_pot,i| + |c_mean|*(x_hi - x_lo).  `covering_dt` is a dt admissible
+    for every such mean: the diffusion-drift bound is monotone in max|w|,
+    and since P(w) = w/(e^w - 1) is decreasing, every outflow weight
+    P(-w_i) + P(w_{i-1}) is at most P(-W_i) + P(-W_{i-1}).  The default
+    dt stays within it.  While dt <= covering_dt (`cfl_proven`) the step
+    checks only that each mean lies in [x_lo, x_hi] (a mean divides by
+    the initial mass, which may drift within its tolerance); a larger
+    user dt, or a mean outside that interval, gets the admissible-dt
+    check at the present means on every step, with `CflError` if it
+    fails.
     """
 
-    def __init__(self, model: ModelConfig, state: DensityGrid1D,
+    def __init__(self, model: ModelConfig,
+                 state: DensityGrid1D | Sequence[DensityGrid1D],
                  dt: float | None = None, scheme: str = "chang-cooper"):
         if scheme not in ("chang-cooper", "upwind"):
             raise PdeError("unknown scheme %r" % (scheme,))
-        if not state.is_normalized():
+        self._stacked = not isinstance(state, DensityGrid1D)
+        states = list(state) if self._stacked else [state]
+        if not states:
+            raise PdeError("need at least one initial density")
+        first = states[0]
+        if not all(s.same_grid(first) for s in states):
+            raise PdeError("stacked densities must share one grid")
+        if not all(s.is_normalized() for s in states):
             raise PdeError("initial density must be normalized")
         self.model = model
         self.scheme = scheme
-        self.x_lo, self.x_hi, self.n = state.x_lo, state.x_hi, state.n
-        self.dx = state.dx
-        x = state.centers
+        self.x_lo, self.x_hi, self.n = first.x_lo, first.x_hi, first.n
+        self.dx = first.dx
+        x = first.centers
         self._x = x
-        self._rho = state.values.copy()
-        self._rho.setflags(write=True)
-        boundary = max(self._rho[0], self._rho[-1]) * self.dx
+        rho = np.array([s.values for s in states])
+        self._rho = rho if self._stacked else rho[0]
+        # per-row quantities are scalars for one run and (R, 1) columns for
+        # a stack, so one step body broadcasts over both
+        self._xm = x[:, None] if self._stacked else x
+        self._all = np.all if self._stacked else bool
+        boundary = float(np.max(self._rho[..., [0, -1]])) * self.dx
         if boundary > 1e-10:
             warnings.warn("boundary cells carry mass %.2e; domain may be "
                           "too small" % boundary)
@@ -102,29 +144,48 @@ class GranularSolver:
         self._w_pot = -np.diff(v) / s2
         self._x_if = 0.5 * (x[:-1] + x[1:])
         self._c_mean = 2.0 * model.theta * self.dx / s2
-        self._mass0 = float(self._rho.sum() * self.dx)
+        # W_i, the bound on |w_i| over all means in [x_lo, x_hi]
+        self._w_bound = (np.abs(self._w_pot)
+                         + abs(self._c_mean) * (self.x_hi - self.x_lo))
+        self._mass0 = self._rho.sum(axis=-1, keepdims=self._stacked) * self.dx
         self._mass_prev = self._mass0
+        self._mass_tol = 1e-12 * np.maximum(1.0, self._mass0)
         self.time = 0.0
         self.steps = 0
         self.dt = float(dt) if dt is not None else 0.5 * self.admissible_dt(
             worst_case=True)
         if self.dt <= 0:
             raise PdeError("dt must be positive")
+        self.covering_dt = self._covering_dt()
+        self.cfl_proven = self.dt <= self.covering_dt
 
     @property
     def state(self) -> DensityGrid1D:
+        if self._stacked:
+            raise PdeError("a stacked solver holds one state per row; "
+                           "use states")
         return DensityGrid1D(self.x_lo, self.x_hi, self.n, self._rho.copy())
 
-    def mean(self) -> float:
-        return float(np.dot(self._x, self._rho) * self.dx / self._mass0)
+    @property
+    def states(self) -> list[DensityGrid1D]:
+        rows = self._rho if self._stacked else self._rho[None]
+        return [DensityGrid1D(self.x_lo, self.x_hi, self.n, r) for r in rows]
 
-    def _interface_w(self, m: float) -> np.ndarray:
+    def _means(self):
+        return self._rho @ self._xm * self.dx / self._mass0
+
+    def mean(self) -> float:
+        if self._stacked:
+            raise PdeError("a stacked solver has one mean per row")
+        return float(self._means())
+
+    def _interface_w(self, m) -> np.ndarray:
         return self._w_pot + self._c_mean * (m - self._x_if)
 
     def _admissible_for_w(self, w: np.ndarray
                           ) -> tuple[float, np.ndarray, np.ndarray]:
-        """Admissible dt for interface weights w, and the Chang-Cooper
-        weights (a, b) behind it."""
+        """Admissible dt for interface weights w (the smallest over the
+        rows of a stack), and the Chang-Cooper weights (a, b) behind it."""
         s2 = self.model.sigma2
         # dx * max|drift| equals s2 * max|w|, so the diffusion-drift CFL
         # bound dx^2/(2*s2 + dx*max|drift|) reads s2*(2 + max|w|) below
@@ -135,43 +196,67 @@ class GranularSolver:
         coeff = float(np.max(out))
         return min(formula, self.dx ** 2 / (s2 * coeff)), a, b
 
+    def _covering_dt(self) -> float:
+        """Admissible dt for every mean in [x_lo, x_hi], from the bounds
+        |w_i| <= W_i, P(-w_i) <= P(-W_i) and P(w_i) <= P(-W_i)."""
+        s2 = self.model.sigma2
+        formula = self.dx ** 2 / (s2 * (2.0 + float(np.max(self._w_bound))))
+        p = _cc_weights(-self._w_bound)[1]
+        coeff = float(np.max(_outflow(p, p)))
+        return min(formula, self.dx ** 2 / (s2 * coeff))
+
     def admissible_dt(self, worst_case: bool = False) -> float:
-        """Largest stable dt: min of the diffusion-drift CFL bound
-        dx^2/(2*sigma2 + dx*max|drift|) and the positivity bound."""
+        """Largest stable dt at the present means (the smallest over the
+        rows of a stack): min of the diffusion-drift CFL bound
+        dx^2/(2*sigma2 + dx*max|drift|) and the positivity bound.
+
+        worst_case=True evaluates the same rule at the weights W_i >= 0
+        (see the class docstring).  Its diffusion-drift term covers every
+        mean in [x_lo, x_hi]; its positivity term does not, since it takes
+        b_{i-1} = P(W_{i-1}) where the cover needs P(-W_{i-1}) = P(W_{i-1})
+        + W_{i-1}.  Each P(-W_j) is already one term of this rule's
+        outflow weights, so the covering coefficient is at most twice this
+        one, and half of this dt, the default, stays within `covering_dt`.
+        """
         if worst_case:
-            span = self.x_hi - self.x_lo
-            w = np.abs(self._w_pot) + abs(self._c_mean) * span
-            return self._admissible_for_w(w)[0]
-        return self._admissible_for_w(self._interface_w(self.mean()))[0]
+            return self._admissible_for_w(self._w_bound)[0]
+        return self._admissible_for_w(self._interface_w(self._means()))[0]
 
     def step(self) -> None:
         rho = self._rho
         s2 = self.model.sigma2
-        m = self.mean()
+        m = self._means()
         w = self._interface_w(m)
-        adm, a, b = self._admissible_for_w(w)
-        if self.dt > adm * (1.0 + 1e-9):
-            raise CflError("dt=%.6g unstable; admissible dt <= %.6g"
-                           % (self.dt, adm))
+        if self.cfl_proven and self._all((m >= self.x_lo)
+                                         & (m <= self.x_hi)):
+            a, b = _cc_weights(w)
+        else:
+            adm, a, b = self._admissible_for_w(w)
+            if self.dt > adm * (1.0 + 1e-9):
+                raise CflError("dt=%.6g unstable; admissible dt <= %.6g"
+                               % (self.dt, adm))
+        # fluxes through all n + 1 faces; the two boundary faces carry none
+        flux = np.zeros(rho.shape[:-1] + (self.n + 1,))
         if self.scheme == "chang-cooper":
-            flux = (s2 / self.dx) * (a * rho[:-1] - b * rho[1:])
+            flux[..., 1:-1] = (s2 / self.dx) * (a * rho[..., :-1]
+                                                - b * rho[..., 1:])
         else:
             drift = s2 * w / self.dx
-            flux = (np.maximum(drift, 0.0) * rho[:-1] + np.minimum(drift, 0.0)
-                    * rho[1:] + (s2 / self.dx) * (rho[:-1] - rho[1:]))
-        r = self.dt / self.dx
-        rho[1:-1] += r * (flux[:-1] - flux[1:])
-        rho[0] -= r * flux[0]
-        rho[-1] += r * flux[-1]
-        low = float(rho.min())
-        if low < 0.0:
-            if low < -1e-13 * float(rho.max()):
+            flux[..., 1:-1] = (np.maximum(drift, 0.0) * rho[..., :-1]
+                               + np.minimum(drift, 0.0) * rho[..., 1:]
+                               + (s2 / self.dx) * (rho[..., :-1]
+                                                   - rho[..., 1:]))
+        rho += (self.dt / self.dx) * (flux[..., :-1] - flux[..., 1:])
+        if rho.min() < 0.0:
+            if np.any(rho.min(axis=-1) < -1e-13 * rho.max(axis=-1)):
                 raise PdeError("positivity lost at t=%.6g" % self.time)
             np.maximum(rho, 0.0, out=rho)
-        mass = float(rho.sum() * self.dx)
-        if not abs(mass - self._mass_prev) <= 1e-12 * max(1.0, self._mass0):
+        mass = rho.sum(axis=-1, keepdims=self._stacked) * self.dx
+        moved = abs(mass - self._mass_prev)
+        if not self._all(moved <= self._mass_tol):
+            worst = np.ravel(mass)[np.argmax(np.ravel(moved))]
             raise PdeError("mass drifted to %.17g at t=%.6g"
-                           % (mass, self.time))
+                           % (worst, self.time))
         self._mass_prev = mass
         self.time += self.dt
         self.steps += 1
@@ -220,6 +305,25 @@ def granular_run(solver: GranularSolver, T: float,
 
     return sampled_run(solver.step, sample, _COLUMNS, solver.dt, T,
                        record_every)
+
+
+def granular_stack_run(solver: GranularSolver, T: float) -> list[float]:
+    """Advance every row of `solver` to time T and return each row's free
+    energy there.
+
+    A row whose free energy ends above its initial value by more than
+    1e-8 * (1 + |F|) aborts the run, as in `granular_run` with samples at
+    the two ends only.
+    """
+    if T <= 0:
+        raise PdeError("T must be positive")
+    f_0 = [free_energy(solver.model, rho) for rho in solver.states]
+    for _ in range(step_count(T, solver.dt)):
+        solver.step()
+    f_t = [free_energy(solver.model, rho) for rho in solver.states]
+    for f_new, f_prev in zip(f_t, f_0):
+        _check_monotone(f_new, f_prev, 1e-8, solver.time)
+    return f_t
 
 
 # ---- kinetic solver ----------------------------------------------------------

@@ -113,6 +113,30 @@ def test_cfl_failure_exit_3(tmp_path, capsys):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("dt, verdict", [(None, "proven away"),
+                                         (6e-4, "kept")])
+def test_verbose_reports_cfl_cover(tmp_path, capsys, dt, verdict):
+    # default dt 3.8e-4 and covering dt 4.4e-4 on this grid; 6e-4 is still
+    # admissible near the initial mean (8.3e-4), so it runs with the
+    # per-step check
+    payload = {"model": {"theta": 1.0, "sigma2": 0.3},
+               "grid": {"x_lo": -4.0, "x_hi": 4.0, "n": 128},
+               "init": {"mean": 0.5, "std": 0.4}, "T": 0.01}
+    if dt is not None:
+        payload["dt"] = dt
+    cfg = write_cfg(tmp_path, payload)
+    quiet, loud = tmp_path / "quiet", tmp_path / "loud"
+    assert main(["pde-run", "--config", cfg, "--out", str(quiet)]) == 0
+    assert capsys.readouterr().err == ""
+    assert main(["pde-run", "--config", cfg, "--out", str(loud),
+                 "--verbose"]) == 0
+    err = capsys.readouterr().err
+    assert "covering dt=0.000435761" in err
+    assert "per-step CFL check " + verdict in err
+    for name in ("trajectory.csv", "final_state.csv", "report.json"):
+        assert (quiet / name).read_bytes() == (loud / name).read_bytes()
+
+
 def test_domain_error_exit_2(tmp_path, capsys):
     missing = str(tmp_path / "missing.csv")
     model = {"theta": 1.0, "sigma2": 0.3}

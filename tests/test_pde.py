@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mckeanflow as mk
@@ -8,7 +8,7 @@ from mckeanflow import (CflError, DensityGrid1D, GranularSolver, PdeError,
                         PhaseGrid2D, Potential, VfpSolver)
 from mckeanflow.grid import maxwellian
 from mckeanflow.meanfield import discrete_fixed_mean, equilibrium_for_mean
-from mckeanflow.pde import _cc_fluxes
+from mckeanflow.pde import _cc_fluxes, granular_stack_run
 
 
 def gaussian_grid(x_lo, x_hi, n, mean, std):
@@ -150,6 +150,141 @@ def test_granular_run_log(dw03):
         assert np.all(np.isfinite(log.column(name)))
     assert log.column("W2_ref")[-1] < log.column("W2_ref")[0]
 
+
+
+# ---- stacked granular runs -----------------------------------------------------
+
+
+def _stack_states(n=256):
+    return [gaussian_grid(-4, 4, n, mean, std)
+            for mean, std in ((0.9, 0.3), (-0.5, 0.5), (0.1, 0.25))]
+
+
+@pytest.mark.parametrize("scheme", ["chang-cooper", "upwind"])
+def test_granular_stack_rows_match_single_runs(dw03, scheme):
+    states = _stack_states()
+    stack = GranularSolver(dw03, states, scheme=scheme)
+    singles = [GranularSolver(dw03, rho, scheme=scheme) for rho in states]
+    assert all(s.dt == stack.dt for s in singles)
+    for _ in range(2000):
+        stack.step()
+        for s in singles:
+            s.step()
+    assert stack.time == singles[0].time and stack.steps == 2000
+    for row, s in zip(stack.states, singles):
+        ref = s.state
+        assert abs(row.mass() - ref.mass()) <= 1e-13
+        assert np.max(np.abs(row.values - ref.values)) <= 1e-13 * ref.values.max()
+
+
+def test_granular_one_row_stack_is_bit_identical(dw03):
+    rho = _stack_states()[0]
+    single = GranularSolver(dw03, rho)
+    stack = GranularSolver(dw03, [rho])
+    for _ in range(500):
+        single.step()
+        stack.step()
+    assert np.array_equal(stack.states[0].values, single.state.values)
+    assert stack.dt == single.dt and stack.covering_dt == single.covering_dt
+
+
+def test_granular_stack_rejects_bad_input(dw03):
+    rho = gaussian_grid(-4, 4, 128, 0.5, 0.4)
+    for other in (gaussian_grid(-4, 4, 256, 0.5, 0.4),
+                  gaussian_grid(-5, 4, 128, 0.5, 0.4),
+                  DensityGrid1D(-4, 4, 128, 2.0 * rho.values)):
+        with pytest.raises(PdeError):
+            GranularSolver(dw03, [rho, other])
+    with pytest.raises(PdeError):
+        GranularSolver(dw03, [])
+    # the one-run views refuse a stack
+    stack = GranularSolver(dw03, [rho, rho])
+    with pytest.raises(PdeError):
+        stack.state
+    with pytest.raises(PdeError):
+        stack.mean()
+    with pytest.raises(PdeError):
+        mk.granular_run(stack, 0.1)
+
+
+@pytest.mark.parametrize("row", [0, 2])
+def test_granular_stack_checks_each_row(dw03, row):
+    stack = GranularSolver(dw03, _stack_states(128))
+    stack.step()
+    stack._rho[row, 60] += 1e-6
+    with pytest.raises(PdeError, match="mass drifted"):
+        stack.step()
+    stack = GranularSolver(dw03, _stack_states(128))
+    stack._rho[row, 1] = -1e-3
+    with pytest.raises(PdeError, match="positivity lost"):
+        stack.step()
+
+
+def test_granular_stack_run_matches_granular_run(dw03):
+    states = _stack_states(128)
+    f_t = granular_stack_run(GranularSolver(dw03, states), T=0.2)
+    for rho, f in zip(states, f_t):
+        log = mk.granular_run(GranularSolver(dw03, rho), T=0.2,
+                              record_every=10 ** 9)
+        assert f == pytest.approx(log.column("F")[-1], rel=1e-12)
+    with pytest.raises(PdeError):
+        granular_stack_run(GranularSolver(dw03, states), T=0.0)
+
+
+def test_granular_stack_run_checks_free_energy(dw03, monkeypatch):
+    # a free energy that rises between the two ends aborts the run
+    values = iter(range(10))
+    monkeypatch.setattr("mckeanflow.pde.free_energy",
+                        lambda model, rho: float(next(values)))
+    with pytest.raises(PdeError, match="free energy increased"):
+        granular_stack_run(GranularSolver(dw03, _stack_states(128)), T=1e-3)
+
+
+def _count_cfl_checks(monkeypatch):
+    calls = []
+    check = GranularSolver._admissible_for_w
+
+    def counted(self, w):
+        calls.append(w.shape)
+        return check(self, w)
+
+    monkeypatch.setattr(GranularSolver, "_admissible_for_w", counted)
+    return calls
+
+
+def test_granular_cfl_check_only_where_unproven(dw03, monkeypatch):
+    rho = gaussian_grid(-4, 4, 128, 0.5, 0.4)
+    calls = _count_cfl_checks(monkeypatch)
+    s = GranularSolver(dw03, rho)
+    assert s.cfl_proven and s.dt <= s.covering_dt
+    calls.clear()
+    for _ in range(20):
+        s.step()
+    assert calls == []
+    # a mean outside [x_lo, x_hi] (faked through the reference mass) falls
+    # back to the full check
+    s._mass0 = 0.1 * s._mass0
+    assert s._means() > s.x_hi
+    s.step()
+    assert len(calls) == 1
+
+
+def test_granular_user_dt_above_covering_bound_steps(dw03, monkeypatch):
+    # dt between the covering bound and the admissible dt at the present
+    # means is checked on every step, and steps
+    states = _stack_states(128)
+    probe = GranularSolver(dw03, states)
+    assert probe.covering_dt < probe.admissible_dt()
+    dt = 0.5 * (probe.covering_dt + probe.admissible_dt())
+    calls = _count_cfl_checks(monkeypatch)
+    for state in (states[0], states):
+        s = GranularSolver(dw03, state, dt=dt)
+        assert not s.cfl_proven
+        calls.clear()
+        for _ in range(50):
+            s.step()
+        assert len(calls) == 50
+        assert all(abs(r.mass() - 1.0) <= 1e-12 for r in s.states)
 
 # ---- kinetic solver ------------------------------------------------------------
 
@@ -394,3 +529,35 @@ def test_cc_flux_vanishes_on_exponential_ratio(w):
     # out_i = a_i + b_{i-1}, with no inflow weight past either end
     assert np.array_equal(out, np.concatenate(
         [a[:, :1], a[:, 1:] + b[:, :-1], b[:, -1:]], axis=1))
+
+
+
+# ---- the covering CFL bound ----------------------------------------------------
+
+
+@pytest.mark.filterwarnings("ignore:boundary cells")
+@settings(max_examples=200, deadline=None)
+@given(pot=st.integers(0, len(_POTENTIALS) - 1),
+       theta=st.floats(-1.0, 3.0),
+       sigma2=st.floats(0.05, 2.0),
+       x_lo=st.floats(-8.0, -1.0),
+       x_hi=st.floats(1.0, 8.0),
+       n=st.integers(64, 2048))
+@example(pot=0, theta=0.5, sigma2=0.25, x_lo=-6.0, x_hi=41.0, n=2048)
+def test_covering_dt_covers_every_mean(pot, theta, sigma2, x_lo, x_hi, n):
+    model = mk.standard_model(theta, sigma2, potential=_POTENTIALS[pot])
+    s = GranularSolver(model, DensityGrid1D(x_lo, x_hi, n,
+                                            np.ones(n)).normalize())
+    assert s.dt <= s.covering_dt and s.cfl_proven
+    # each row of w is one mean; on a block of rows the admissible dt is
+    # the smallest over them
+    means = np.linspace(x_lo, x_hi, 1001)[:, None]
+    for block in np.array_split(means, 11):
+        adm = s._admissible_for_w(s._interface_w(block))[0]
+        assert s.covering_dt <= adm
+    # the bound is sharp over weights |w_i| <= W_i: signs alternating so
+    # that w_i = W_i and w_{i-1} = -W_{i-1} reach P(-W_i) + P(-W_{i-1})
+    big_w = np.abs(s._w_pot) + abs(s._c_mean) * (x_hi - x_lo)
+    signs = (-1.0) ** np.arange(n - 1)
+    sharp = min(s._admissible_for_w(sg * big_w)[0] for sg in (signs, -signs))
+    assert s.covering_dt == pytest.approx(sharp, rel=1e-12)
