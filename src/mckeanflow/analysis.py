@@ -4,7 +4,7 @@ and sign-change detection."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -47,25 +47,22 @@ def step_count(T: float, dt: float) -> int:
     return max(1, int(np.ceil(T / dt - 1e-12)))
 
 
-def sampled_run(step: Callable[[], None],
-                sample: Callable[[], Sequence[float]],
-                columns: tuple[str, ...], dt: float, T: float,
-                record_every: int | None = None) -> TrajectoryLog:
-    """Take `step_count(T, dt)` steps and log a `sample()` row before the
-    first step, after every `record_every`-th step and after the last.
+def sampled_run(step: Callable[[], None], sample: Callable[[], None],
+                dt: float, T: float, record_every: int | None = None) -> None:
+    """Take `step_count(T, dt)` steps and call `sample()`, which logs into
+    the caller's logs, before the first step, after every
+    `record_every`-th step and after the last.
 
     record_every None aims at about 400 samples.
     """
     n_steps = step_count(T, dt)
     if record_every is None:
         record_every = max(1, int(round(n_steps / 400)))
-    log = TrajectoryLog(columns)
-    log.append(*sample())
+    sample()
     for k in range(1, n_steps + 1):
         step()
         if k % record_every == 0 or k == n_steps:
-            log.append(*sample())
-    return log
+            sample()
 
 
 @dataclass(frozen=True)

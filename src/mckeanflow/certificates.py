@@ -31,12 +31,14 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial import polynomial as P
 
+from .analysis import step_count
 from .grid import (DensityGrid1D, equilibrium_for_mean, free_energy,
                    relative_entropy, wasserstein2)
-from .meanfield import (SelfConsistency1D, contraction_factor,
-                        discrete_fixed_mean, find_fixed_points)
+from .meanfield import (SelfConsistency1D, _contraction_factor,
+                        contraction_factor, discrete_fixed_mean,
+                        find_fixed_points)
 from .model import ModelConfig
-from .pde import GranularSolver, granular_run, granular_stack_run
+from .pde import GranularSolver, granular_run
 
 
 class CertificateError(RuntimeError):
@@ -259,7 +261,9 @@ def build_certificate(model: ModelConfig, epsilon: float | None = None,
 
     epsilon defaults to 0.2 * m_plus.  Validation runs the overdamped
     solver on `grid_n` cells over `bounds`; any failed check marks the
-    report INVALID and records the offending sample.
+    report INVALID and records the offending sample.  The runs of each
+    trajectory check (nonlinear_lsi, q1_regularization, decay_envelope)
+    share one grid and dt, so each check advances them as one stack.
 
     The q1_regularization and decay_envelope checks compare against
     constants far above what the runs reach: at theta=1, sigma2=0.3
@@ -274,7 +278,7 @@ def build_certificate(model: ModelConfig, epsilon: float | None = None,
     big_l, lam, kappa1 = structural_constants(model)
     eta = lsi_eta(model)
     core = CoreConstants(big_l, lam, kappa1, eta)
-    alpha = contraction_factor(sc, epsilon)
+    alpha = _contraction_factor(sc, epsilon, m_plus)
     eta_bar = _eta_bar(model, eta, alpha)
     q1 = q_t(model, core, 1.0)
     delta = m_plus - epsilon
@@ -329,15 +333,18 @@ def build_certificate(model: ModelConfig, epsilon: float | None = None,
 
     # 2. dissipation inequality along solver runs restricted to means
     #    above epsilon
-    worst = 0.0
-    used = 0
-    for k in range(n_runs):
+    rho0s = []
+    for _ in range(n_runs):
         start = float(rng.uniform(epsilon + 0.3 * delta, m_plus + 0.3))
         width = float(rng.uniform(0.2, 0.5))
-        rho0 = DensityGrid1D.gaussian(x_lo, x_hi, grid_n, start, width)
-        solver = GranularSolver(model, rho0)
-        log = granular_run(solver, T=3.0,
-                           record_every=max(1, int(0.05 / solver.dt)))
+        rho0s.append(DensityGrid1D.gaussian(x_lo, x_hi, grid_n, start,
+                                            width))
+    solver = GranularSolver(model, rho0s)
+    logs = granular_run(solver, T=3.0,
+                        record_every=max(1, int(0.05 / solver.dt)))
+    worst = 0.0
+    used = 0
+    for log in logs:
         m_arr = log.column("mean")
         keep = np.abs(m_arr) >= epsilon
         used += int(keep.sum())
@@ -348,8 +355,8 @@ def build_certificate(model: ModelConfig, epsilon: float | None = None,
         "nonlinear_lsi", bool(worst <= 1.0), used, float(worst),
         "F gap vs eta_bar*sigma2^2*Fisher along %d runs" % n_runs))
 
-    # 3. unit-time regularization: F gap at t=1 vs q1 * initial W2^2; the
-    #    runs share one grid and dt, so they advance as one stack
+    # 3. unit-time regularization: F gap at t=1 vs q1 * initial W2^2,
+    #    sampled at the two ends only
     n_q = 20
     rho0s = []
     for _ in range(n_q):
@@ -357,31 +364,36 @@ def build_certificate(model: ModelConfig, epsilon: float | None = None,
         width = float(rng.uniform(0.2, 0.6))
         rho0s.append(DensityGrid1D.gaussian(x_lo, x_hi, grid_n,
                                             m_star + shift, width))
-    f_1 = granular_stack_run(GranularSolver(model, rho0s), T=1.0)
+    solver = GranularSolver(model, rho0s)
+    logs = granular_run(solver, T=1.0,
+                        record_every=step_count(1.0, solver.dt))
     worst = 0.0
-    for rho0, f in zip(rho0s, f_1):
+    for rho0, log in zip(rho0s, logs):
         w2_0 = wasserstein2(rho0, rho_star)
+        f = log.column("F")[-1]
         worst = max(worst, _ratio(f - f_star, q1 * w2_0 ** 2 * 1.10 + 1e-12))
     report.checks.append(CheckRecord(
         "q1_regularization", bool(worst <= 1.0), n_q, float(worst),
         "free-energy gap at t=1 vs q1*W2^2(rho_0, rho*)"))
 
     # 4. certified decay envelope inside the delta_prime ball
-    worst = 0.0
-    used = 0
-    for k in range(n_runs):
+    rho0s = []
+    for _ in range(n_runs):
         shift = float(rng.uniform(0.3, 0.9)) * delta_prime
         rho0 = equilibrium_for_mean(model, m_star, x_lo, x_hi, grid_n,
                                     shift=shift)
-        w2_0 = wasserstein2(rho0, rho_star)
-        if w2_0 > delta_prime:
+        if wasserstein2(rho0, rho_star) > delta_prime:
             rho0 = equilibrium_for_mean(model, m_star, x_lo, x_hi, grid_n,
                                         shift=0.25 * delta_prime)
-            w2_0 = wasserstein2(rho0, rho_star)
-        solver = GranularSolver(model, rho0)
-        log = granular_run(solver, T=5.0,
-                           record_every=max(1, int(0.25 / solver.dt)),
-                           reference=rho_star)
+        rho0s.append(rho0)
+    solver = GranularSolver(model, rho0s)
+    logs = granular_run(solver, T=5.0,
+                        record_every=max(1, int(0.25 / solver.dt)),
+                        reference=rho_star)
+    worst = 0.0
+    used = 0
+    for rho0, log in zip(rho0s, logs):
+        w2_0 = wasserstein2(rho0, rho_star)
         w2_t = log.column("W2_ref")
         envelope = c_rate * np.exp(-log.t / eta_bar) * w2_0 ** 2
         used += len(w2_t)

@@ -8,7 +8,7 @@ Experiments are configured by JSON files validated against strict schemas
 end of a successful run, plus a manifest.json with the config hash,
 package versions and wall-clock time.  Exit codes: 0 success, 2 config
 or domain validation failure, 3 numerical failure (stability violation,
-NaN, quadrature breakdown), 4 certificate verdict INVALID.  With
+NaN), 4 certificate verdict INVALID.  With
 identical configs and seeds at --threads 1, reruns are byte-identical
 except for the manifest's wall-clock entry.
 """

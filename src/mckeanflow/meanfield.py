@@ -25,17 +25,16 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .grid import DensityGrid1D, equilibrium_for_mean
-from .model import ModelConfig, ModelError
+from .model import ModelConfig
 
 _TAIL_LOG = np.log(1e-14)
+# quadrature radii: a query uses the first that holds its tails; the last,
+# 6 * 2**7 = 768, has 614 400 nodes
+_RADII = tuple(6.0 * 2.0 ** k for k in range(8))
 
 
 class MeanFieldError(ValueError):
     """Arguments outside the domain of a self-consistency operation."""
-
-
-class QuadratureError(ArithmeticError):
-    """Quadrature truncation could not satisfy the tail bound."""
 
 
 class LocalizationError(MeanFieldError):
@@ -46,44 +45,53 @@ class SelfConsistency1D:
     """Quadrature-backed evaluation of the local-equilibrium family.
 
     Composite Gauss-Legendre quadrature with 40 nodes on each panel of
-    length 0.1 (400 per unit length) on [-R, R], starting at R = 6.  R
-    grows automatically until the integrand at the boundary is below 1e-14
-    relative to its peak for every queried m, so moments and log-partition
-    values carry no visible truncation bias.
+    length 0.1 (400 per unit length) on [-R, R].  A query at mean m takes
+    the first R in 6, 12, 24, ..., 768 with |m| + 1 < R at which the
+    integrand at both ends is below 1e-14 relative to its peak, so
+    moments and log-partition values carry no visible truncation bias and
+    depend on (model, m) only.  Tails wider than R = 768 raise
+    MeanFieldError, as does a model whose V + theta*x**2 is not confining.
     """
 
     def __init__(self, model: ModelConfig):
+        # V has even degree and a positive leading coefficient, so only a
+        # quadratic V can lose confinement to a repulsive theta
+        coeffs = model.potential.coefficients
+        if len(coeffs) == 3 and coeffs[2] + model.theta <= 0:
+            raise MeanFieldError("V + theta*x**2 is not confining; the "
+                                 "Gibbs family is not normalizable")
         self.model = model
         self._panel = 0.1
-        self._build(6.0)
+        self._node_sets: dict[float, tuple[np.ndarray, ...]] = {}
 
-    def _build(self, radius: float) -> None:
-        n_panels = int(np.ceil(2.0 * radius / self._panel))
-        z, w = np.polynomial.legendre.leggauss(40)
-        lefts = -radius + np.arange(n_panels) * self._panel
-        half = 0.5 * self._panel
-        nodes = (lefts[:, None] + half * (z[None, :] + 1.0)).ravel()
-        weights = np.tile(w * half, n_panels)
-        self.radius = radius
-        self._nodes = nodes
-        self._weights = weights
-        self._v_nodes = self.model.potential.value(nodes)
+    def _node_set(self, radius: float) -> tuple[np.ndarray, ...]:
+        """(nodes, weights, V at the nodes) on [-radius, radius]."""
+        if radius not in self._node_sets:
+            n_panels = int(np.ceil(2.0 * radius / self._panel))
+            z, w = np.polynomial.legendre.leggauss(40)
+            lefts = -radius + np.arange(n_panels) * self._panel
+            half = 0.5 * self._panel
+            nodes = (lefts[:, None] + half * (z[None, :] + 1.0)).ravel()
+            weights = np.tile(w * half, n_panels)
+            self._node_sets[radius] = (nodes, weights,
+                                       self.model.potential.value(nodes))
+        return self._node_sets[radius]
 
-    def _log_density(self, m: float) -> np.ndarray:
-        x = self._nodes
+    def _tail_fit(self, m: float
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+        """Nodes, weights, log integrand less its peak, and the peak, on
+        the first radius that holds the tails at mean m."""
         th = self.model.theta
-        return -(self._v_nodes + th * (x - m) ** 2) / self.model.sigma2
-
-    def _ensure_radius(self, m: float) -> tuple[np.ndarray, float]:
-        for _ in range(200):
-            logu = self._log_density(m)
+        for radius in _RADII:
+            x, w, v = self._node_set(radius)
+            logu = -(v + th * (x - m) ** 2) / self.model.sigma2
             peak = float(logu.max())
             edge = max(logu[0], logu[-1])
-            if edge - peak < _TAIL_LOG and abs(m) + 1.0 < self.radius:
-                return logu - peak, peak
-            self._build(max(self.radius * 1.5, abs(m) + 4.0))
-        raise QuadratureError("tail bound not reachable; integrand may "
-                              "not be confining")
+            if edge - peak < _TAIL_LOG and abs(m) + 1.0 < radius:
+                return x, w, logu - peak, peak
+        raise MeanFieldError("rho_m at m=%.6g has tails beyond |x| = %g, "
+                             "the widest quadrature domain"
+                             % (m, _RADII[-1]))
 
     def moments(self, m: float) -> tuple[float, float, float]:
         """(log-partition value, mean, variance) of rho_m.
@@ -91,9 +99,8 @@ class SelfConsistency1D:
         The peak shift used for overflow safety is added back, so the
         first entry is the true log Z.
         """
-        shifted, peak = self._ensure_radius(m)
-        x = self._nodes
-        u = self._weights * np.exp(shifted)
+        x, weights, shifted, peak = self._tail_fit(m)
+        u = weights * np.exp(shifted)
         z = u.sum()
         mean = float(np.dot(x, u) / z)
         var = float(np.dot((x - mean) ** 2, u) / z)
@@ -217,14 +224,21 @@ def contraction_factor(sc: SelfConsistency1D, epsilon: float) -> float:
     window value m -> m_plus+ (namely f'(m_plus)) dominates the tail.
     A dense grid on [epsilon, m_far] covers the rest.
     """
+    return _contraction_factor(sc, epsilon)
+
+
+def _contraction_factor(sc: SelfConsistency1D, epsilon: float,
+                        m_plus: float | None = None) -> float:
+    """`contraction_factor`, taking the outer fixed point m_plus from the
+    caller when it already has it."""
     if epsilon <= 0:
         raise MeanFieldError("epsilon must be positive")
     if sc.mean_map_derivative(0.0) <= 1.0:
         raise MeanFieldError("supercritical temperature: the two-sided "
                              "contraction toward an outer fixed point "
                              "does not apply")
-    fps = find_fixed_points(sc)
-    m_plus = fps.positive_root().m
+    if m_plus is None:
+        m_plus = find_fixed_points(sc).positive_root().m
     if epsilon >= m_plus:
         raise MeanFieldError("epsilon must be below the outer fixed point")
     m_far = max(2.0 * m_plus + 2.0, epsilon + 1.0)
@@ -236,8 +250,7 @@ def contraction_factor(sc: SelfConsistency1D, epsilon: float) -> float:
         ratio = (sc.mean_map(m) - m_plus) / (m - m_plus)
         if ratio > best:
             best = float(ratio)
-    # tail control; run last so the radius growth does not slow the
-    # window sweep
+    # tail control
     d_prev = sc.mean_map_derivative(m_far)
     for m in np.geomspace(m_far, 8.0 * m_far, 12)[1:]:
         d = sc.mean_map_derivative(m)

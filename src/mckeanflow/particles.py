@@ -209,13 +209,13 @@ def run_particles(ens: ParticleEnsemble, model: ModelConfig, dt: float,
     if T <= 0:
         raise ParticleError("T must be positive")
     stepper = step_overdamped if ens.mode == "overdamped" else step_kinetic
+    log = TrajectoryLog(("t", "mean", "var", "w2_ref", "fe_proxy"))
 
-    def sample() -> tuple[float, ...]:
+    def sample() -> None:
         x = ens.positions
         w2 = empirical_w2(ens, reference) if reference is not None else np.nan
         fe = free_energy_proxy(ens, model) if with_proxy else np.nan
-        return ens.time, np.mean(x), np.var(x), w2, fe
+        log.append(ens.time, np.mean(x), np.var(x), w2, fe)
 
-    return sampled_run(lambda: stepper(ens, model, dt), sample,
-                       ("t", "mean", "var", "w2_ref", "fe_proxy"), dt, T,
-                       record_every)
+    sampled_run(lambda: stepper(ens, model, dt), sample, dt, T, record_every)
+    return log

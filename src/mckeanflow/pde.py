@@ -29,7 +29,7 @@ from typing import Sequence
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .analysis import TrajectoryLog, sampled_run, step_count
+from .analysis import TrajectoryLog, sampled_run
 from .grid import (DensityGrid1D, PhaseGrid2D, _FLOOR, fisher_information,
                    free_energy, kinetic_free_energy, local_equilibrium,
                    local_equilibrium_kinetic, relative_entropy,
@@ -87,9 +87,10 @@ class GranularSolver:
     state : DensityGrid1D, or a sequence of them
         Normalized initial density.  A sequence is a stack of independent
         runs on one grid and one dt: the step advances all rows at once,
-        each with its own mean, mass and positivity checks.  `state`,
-        `mean()` and `granular_run` serve single runs; `states` serves
-        both.
+        each with its own mean, mass and positivity checks, and
+        `granular_run` gives one log per row.  A one-element sequence
+        steps on the single-run layout, bit for bit.  `state` and `mean()`
+        serve single runs; `states` serves both.
     dt : float or None
         Time step.  None picks `0.5 * admissible_dt(worst_case=True)`.
     scheme : "chang-cooper" or "upwind"
@@ -128,11 +129,12 @@ class GranularSolver:
         x = first.centers
         self._x = x
         rho = np.array([s.values for s in states])
-        self._rho = rho if self._stacked else rho[0]
-        # per-row quantities are scalars for one run and (R, 1) columns for
-        # a stack, so one step body broadcasts over both
-        self._xm = x[:, None] if self._stacked else x
-        self._all = np.all if self._stacked else bool
+        self._rho = rho if len(states) > 1 else rho[0]
+        # per-row quantities are scalars for one row and (R, 1) columns for
+        # more, so one step body broadcasts over both
+        wide = self._rho.ndim == 2
+        self._xm = x[:, None] if wide else x
+        self._all = np.all if wide else bool
         boundary = float(np.max(self._rho[..., [0, -1]])) * self.dx
         if boundary > 1e-10:
             warnings.warn("boundary cells carry mass %.2e; domain may be "
@@ -147,7 +149,7 @@ class GranularSolver:
         # W_i, the bound on |w_i| over all means in [x_lo, x_hi]
         self._w_bound = (np.abs(self._w_pot)
                          + abs(self._c_mean) * (self.x_hi - self.x_lo))
-        self._mass0 = self._rho.sum(axis=-1, keepdims=self._stacked) * self.dx
+        self._mass0 = self._rho.sum(axis=-1, keepdims=wide) * self.dx
         self._mass_prev = self._mass0
         self._mass_tol = 1e-12 * np.maximum(1.0, self._mass0)
         self.time = 0.0
@@ -168,7 +170,7 @@ class GranularSolver:
 
     @property
     def states(self) -> list[DensityGrid1D]:
-        rows = self._rho if self._stacked else self._rho[None]
+        rows = self._rho if self._rho.ndim == 2 else self._rho[None]
         return [DensityGrid1D(self.x_lo, self.x_hi, self.n, r) for r in rows]
 
     def _means(self):
@@ -251,7 +253,7 @@ class GranularSolver:
             if np.any(rho.min(axis=-1) < -1e-13 * rho.max(axis=-1)):
                 raise PdeError("positivity lost at t=%.6g" % self.time)
             np.maximum(rho, 0.0, out=rho)
-        mass = rho.sum(axis=-1, keepdims=self._stacked) * self.dx
+        mass = rho.sum(axis=-1, keepdims=rho.ndim == 2) * self.dx
         moved = abs(mass - self._mass_prev)
         if not self._all(moved <= self._mass_tol):
             worst = np.ravel(mass)[np.argmax(np.ravel(moved))]
@@ -278,52 +280,35 @@ def _check_monotone(f_new: float, f_prev: float, tol_scale: float,
 
 def granular_run(solver: GranularSolver, T: float,
                  record_every: int | None = None,
-                 reference: DensityGrid1D | None = None) -> TrajectoryLog:
+                 reference: DensityGrid1D | None = None
+                 ) -> TrajectoryLog | list[TrajectoryLog]:
     """Advance to time T, sampling diagnostics every `record_every` steps.
 
-    The log's free-energy column must be nonincreasing within
+    A solver built from one density gives one log; a solver built from a
+    sequence gives one log per row, in order, all against `reference`.
+    Each log's free-energy column must be nonincreasing within
     1e-8 * (1 + |F|) per sample, otherwise the run aborts.
     """
     if T <= 0:
         raise PdeError("T must be positive")
-    f_prev = np.inf
+    logs = [TrajectoryLog(_COLUMNS) for _ in solver.states]
 
-    def sample() -> tuple[float, ...]:
-        nonlocal f_prev
-        rho = solver.state
-        gamma = local_equilibrium(solver.model, rho)
-        f_val = free_energy(solver.model, rho)
-        _check_monotone(f_val, f_prev, 1e-8, solver.time)
-        f_prev = f_val
-        w2 = tv = np.nan
-        if reference is not None:
-            w2 = wasserstein2(rho, reference)
-            tv = total_variation(rho, reference)
-        return (solver.time, rho.mean(), rho.variance(), f_val,
-                relative_entropy(rho, gamma),
-                fisher_information(rho, gamma), w2, tv)
+    def sample() -> None:
+        for log, rho in zip(logs, solver.states):
+            gamma = local_equilibrium(solver.model, rho)
+            f_val = free_energy(solver.model, rho)
+            if log.rows:
+                _check_monotone(f_val, log.rows[-1][3], 1e-8, solver.time)
+            w2 = tv = np.nan
+            if reference is not None:
+                w2 = wasserstein2(rho, reference)
+                tv = total_variation(rho, reference)
+            log.append(solver.time, rho.mean(), rho.variance(), f_val,
+                       relative_entropy(rho, gamma),
+                       fisher_information(rho, gamma), w2, tv)
 
-    return sampled_run(solver.step, sample, _COLUMNS, solver.dt, T,
-                       record_every)
-
-
-def granular_stack_run(solver: GranularSolver, T: float) -> list[float]:
-    """Advance every row of `solver` to time T and return each row's free
-    energy there.
-
-    A row whose free energy ends above its initial value by more than
-    1e-8 * (1 + |F|) aborts the run, as in `granular_run` with samples at
-    the two ends only.
-    """
-    if T <= 0:
-        raise PdeError("T must be positive")
-    f_0 = [free_energy(solver.model, rho) for rho in solver.states]
-    for _ in range(step_count(T, solver.dt)):
-        solver.step()
-    f_t = [free_energy(solver.model, rho) for rho in solver.states]
-    for f_new, f_prev in zip(f_t, f_0):
-        _check_monotone(f_new, f_prev, 1e-8, solver.time)
-    return f_t
+    sampled_run(solver.step, sample, solver.dt, T, record_every)
+    return logs if solver._stacked else logs[0]
 
 
 # ---- kinetic solver ----------------------------------------------------------
@@ -340,27 +325,16 @@ class VfpSolver:
     stable, keeps the density nonnegative, and leaves the discretized
     Gaussian in v exactly stationary.  On top of that only the splitting
     error remains, so the kinetic free energy decays cleanly.
-
-    The three enable flags exist for sub-step exactness tests (free
-    transport, pure relaxation); production runs keep them all True.  The
-    force acts only inside the implicit velocity solve, so it cannot be
-    enabled with diffusion off.
     """
 
     def __init__(self, model: ModelConfig, state: PhaseGrid2D,
-                 dt: float | None = None, enable_transport: bool = True,
-                 enable_force: bool = True, enable_diffusion: bool = True):
-        if enable_force and not enable_diffusion:
-            raise PdeError("the force sub-step needs diffusion enabled")
+                 dt: float | None = None):
         if not abs(state.mass() - 1.0) <= 1e-8:
             raise PdeError("initial density must be normalized")
         self.model = model
         self.grid = state
         self._rho = state.values.copy()
         self._rho.setflags(write=True)
-        self.enable_transport = enable_transport
-        self.enable_force = enable_force
-        self.enable_diffusion = enable_diffusion
         self._x = state.x_centers
         self._v = state.v_centers
         self._vp = self.model.potential.grad(self._x)
@@ -447,13 +421,9 @@ class VfpSolver:
         if fmax > 0 and self.dt * fmax > self.grid.dv * (1.0 + 1e-9):
             raise CflError("dt=%.6g violates force CFL; admissible "
                            "dt <= %.6g" % (self.dt, self.grid.dv / fmax))
-        if self.enable_transport:
-            self._transport_x_half()
-        if self.enable_diffusion:
-            self._cc_v_solve(force if self.enable_force
-                             else np.zeros_like(force))
-        if self.enable_transport:
-            self._transport_x_half()
+        self._transport_x_half()
+        self._cc_v_solve(force)
+        self._transport_x_half()
         rho = self._rho
         # The spectral round trips leave sign-symmetric roundoff noise in
         # the tails; it stays bounded because nothing rectifies it, so the
@@ -521,23 +491,22 @@ def vfp_run(solver: VfpSolver, T: float, record_every: int | None = None,
     """
     if T <= 0:
         raise PdeError("T must be positive")
-    f_prev = np.inf
+    log = TrajectoryLog(_COLUMNS)
 
-    def sample() -> tuple[float, ...]:
-        nonlocal f_prev
+    def sample() -> None:
         state = solver.state
         gamma = local_equilibrium_kinetic(solver.model, state)
         f_val = kinetic_free_energy(solver.model, state)
-        _check_monotone(f_val, f_prev, 1e-6, solver.time)
-        f_prev = f_val
+        if log.rows:
+            _check_monotone(f_val, log.rows[-1][3], 1e-6, solver.time)
         xm = state.x_marginal()
         w2 = tv = np.nan
         if reference is not None:
             w2 = wasserstein2(xm, reference)
             tv = total_variation(xm, reference)
-        return (solver.time, xm.mean(), xm.variance(), f_val,
-                _relative_entropy_2d(state, gamma),
-                _fisher_v(state, gamma), w2, tv)
+        log.append(solver.time, xm.mean(), xm.variance(), f_val,
+                   _relative_entropy_2d(state, gamma),
+                   _fisher_v(state, gamma), w2, tv)
 
-    return sampled_run(solver.step, sample, _COLUMNS, solver.dt, T,
-                       record_every)
+    sampled_run(solver.step, sample, solver.dt, T, record_every)
+    return log

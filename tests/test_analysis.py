@@ -96,9 +96,10 @@ def test_detect_sign_change_first_crossing_only():
 ])
 def test_sampled_run_schedule(T, record_every, n_steps, n_rows):
     steps = []
-    log = sampled_run(lambda: steps.append(None),
-                      lambda: (0.1 * len(steps), len(steps)),
-                      ("t", "k"), 0.1, T, record_every)
+    log = TrajectoryLog(("t", "k"))
+    sampled_run(lambda: steps.append(None),
+                lambda: log.append(0.1 * len(steps), len(steps)),
+                0.1, T, record_every)
     k = log.column("k")
     assert len(steps) == n_steps
     assert len(k) == n_rows

@@ -163,3 +163,23 @@ def test_certificate_internal_consistency(unvalidated_report, dw03):
     dp, c_rate = stability_radius(c0, rep.eta_bar, rep.q1, rep.delta)
     assert rep.delta_prime == pytest.approx(dp, rel=1e-12)
     assert rep.C_rate == pytest.approx(c_rate, rel=1e-12)
+
+
+def test_build_certificate_scans_fixed_points_once(dw03, monkeypatch):
+    # m_plus from the certificate's own scan feeds the contraction sweep
+    import mckeanflow.certificates as certs
+    import mckeanflow.meanfield as mf
+    calls = []
+    scan = mf.find_fixed_points
+
+    def counted(sc):
+        calls.append(sc)
+        return scan(sc)
+
+    monkeypatch.setattr(mf, "find_fixed_points", counted)
+    monkeypatch.setattr(certs, "find_fixed_points", counted)
+    rep = build_certificate(dw03, validate=False)
+    assert len(calls) == 1
+    alpha = mk.contraction_factor(mk.SelfConsistency1D(dw03), rep.epsilon)
+    assert rep.alpha_eps == alpha
+    assert len(calls) == 2

@@ -154,6 +154,11 @@ def test_domain_error_exit_2(tmp_path, capsys):
         ("pde-run", {"model": model,
                      "grid": {"x_lo": -4.0, "x_hi": 4.0, "n": 64},
                      "init": {"kind": "csv", "path": missing}, "T": 0.1}),
+        # V + theta*x**2 = -0.1*x**2 is not confining
+        ("fixed-points", {"model": {"theta": -0.6, "sigma2": 1.0,
+                                    "potential": {"kind": "quadratic"}}}),
+        # the Gibbs tails reach past the widest quadrature domain
+        ("fixed-points", {"model": {"theta": 1.0, "sigma2": 1e30}}),
     ]
     for k, (experiment, payload) in enumerate(cases):
         cfg = write_cfg(tmp_path, payload, name="cfg%d.json" % k)

@@ -50,6 +50,34 @@ def test_mean_map_increasing_and_bounded(sc03):
     assert np.max(np.abs(vals)) < 2.0  # bounded by the effective support
 
 
+def test_mean_map_is_history_free(dw03):
+    # a contraction_factor call queries means far out in the tails; the
+    # values at other means must not depend on it
+    sc = SelfConsistency1D(dw03)
+    ms = np.linspace(-3.0, 3.0, 41)
+
+    def values():
+        return [(sc.mean_map(m), sc.mean_map_derivative(m),
+                 sc.effective_potential(m)) for m in ms]
+
+    before = values()
+    mk.contraction_factor(sc, 0.05)
+    assert values() == before
+
+
+def test_mean_map_refuses_unbounded_tails():
+    for theta in (-0.5, -0.6):
+        with pytest.raises(MeanFieldError, match="not confining"):
+            SelfConsistency1D(mk.standard_model(
+                theta, 1.0, potential=Potential.quadratic()))
+    sc = SelfConsistency1D(mk.standard_model(1.0, 1e30))
+    with pytest.raises(MeanFieldError, match="tails"):
+        sc.mean_map(0.0)
+    # a mean beyond the widest domain is refused as well
+    with pytest.raises(MeanFieldError, match="tails"):
+        SelfConsistency1D(mk.standard_model(1.0, 0.3)).mean_map(800.0)
+
+
 def test_mean_map_derivative_positive_and_matches_fd(sc03):
     h = 1e-5
     for m in (-1.3, -0.4, 0.0, 0.5, 1.1):

@@ -8,7 +8,7 @@ from mckeanflow import (CflError, DensityGrid1D, GranularSolver, PdeError,
                         PhaseGrid2D, Potential, VfpSolver)
 from mckeanflow.grid import maxwellian
 from mckeanflow.meanfield import discrete_fixed_mean, equilibrium_for_mean
-from mckeanflow.pde import _cc_fluxes, granular_stack_run
+from mckeanflow.pde import _cc_fluxes
 
 
 def gaussian_grid(x_lo, x_hi, n, mean, std):
@@ -178,14 +178,22 @@ def test_granular_stack_rows_match_single_runs(dw03, scheme):
 
 
 def test_granular_one_row_stack_is_bit_identical(dw03):
+    m = discrete_fixed_mean(dw03, -4, 4, 256, m0=0.8)
+    ref = equilibrium_for_mean(dw03, m, -4, 4, 256)
     rho = _stack_states()[0]
     single = GranularSolver(dw03, rho)
     stack = GranularSolver(dw03, [rho])
-    for _ in range(500):
-        single.step()
-        stack.step()
+    # a one-element stack steps on the single-run layout
+    assert stack._rho.ndim == 1
+    log = mk.granular_run(single, T=500 * single.dt, record_every=100,
+                          reference=ref)
+    logs = mk.granular_run(stack, T=500 * stack.dt, record_every=100,
+                           reference=ref)
+    assert single.steps == stack.steps == 500
     assert np.array_equal(stack.states[0].values, single.state.values)
     assert stack.dt == single.dt and stack.covering_dt == single.covering_dt
+    assert isinstance(logs, list) and len(logs) == 1
+    assert logs[0].to_csv_text() == log.to_csv_text()
 
 
 def test_granular_stack_rejects_bad_input(dw03):
@@ -197,14 +205,14 @@ def test_granular_stack_rejects_bad_input(dw03):
             GranularSolver(dw03, [rho, other])
     with pytest.raises(PdeError):
         GranularSolver(dw03, [])
-    # the one-run views refuse a stack
+    # the one-run views refuse a stack; granular_run gives one log per row
     stack = GranularSolver(dw03, [rho, rho])
     with pytest.raises(PdeError):
         stack.state
     with pytest.raises(PdeError):
         stack.mean()
-    with pytest.raises(PdeError):
-        mk.granular_run(stack, 0.1)
+    logs = mk.granular_run(stack, 0.1)
+    assert len(logs) == 2 and logs[0].rows == logs[1].rows
 
 
 @pytest.mark.parametrize("row", [0, 2])
@@ -221,23 +229,69 @@ def test_granular_stack_checks_each_row(dw03, row):
 
 
 def test_granular_stack_run_matches_granular_run(dw03):
+    # record_every past the step count samples the two ends only
     states = _stack_states(128)
-    f_t = granular_stack_run(GranularSolver(dw03, states), T=0.2)
-    for rho, f in zip(states, f_t):
-        log = mk.granular_run(GranularSolver(dw03, rho), T=0.2,
-                              record_every=10 ** 9)
-        assert f == pytest.approx(log.column("F")[-1], rel=1e-12)
+    logs = mk.granular_run(GranularSolver(dw03, states), T=0.2,
+                           record_every=10 ** 9)
+    assert len(logs) == len(states)
+    for rho, log in zip(states, logs):
+        single = mk.granular_run(GranularSolver(dw03, rho), T=0.2,
+                                 record_every=10 ** 9)
+        assert len(log.rows) == 2
+        assert log.column("F")[-1] == pytest.approx(single.column("F")[-1],
+                                                    rel=1e-12)
     with pytest.raises(PdeError):
-        granular_stack_run(GranularSolver(dw03, states), T=0.0)
+        mk.granular_run(GranularSolver(dw03, states), T=0.0)
+
+
+# relative tolerance per column of a stacked row against its single run; a
+# stack forms its means in another summation order, and log-ratios amplify
+# that rounding in H_loc and Fisher (measured here: at most 6e-16 for mean
+# and var, 2e-15 for F, 7e-15 for W2_ref and TV_ref, 2e-14 for Fisher and
+# 3e-13 for H_loc)
+_STACK_LOG_RTOL = {"t": 0.0, "mean": 1e-12, "var": 1e-12, "F": 1e-12,
+                   "H_loc": 1e-10, "Fisher": 1e-10, "W2_ref": 1e-12,
+                   "TV_ref": 1e-12}
+
+
+def test_granular_run_stack_logs_match_single_runs(dw03):
+    m = discrete_fixed_mean(dw03, -4, 4, 256, m0=0.8)
+    ref = equilibrium_for_mean(dw03, m, -4, 4, 256)
+    states = _stack_states()
+    logs = mk.granular_run(GranularSolver(dw03, states), T=0.5,
+                           record_every=300, reference=ref)
+    assert len(logs) == len(states)
+    for rho, log in zip(states, logs):
+        single = mk.granular_run(GranularSolver(dw03, rho), T=0.5,
+                                 record_every=300, reference=ref)
+        assert log.columns == single.columns
+        assert len(log.rows) == len(single.rows) >= 5
+        for name, rtol in _STACK_LOG_RTOL.items():
+            got, want = log.column(name), single.column(name)
+            assert np.all(np.isfinite(got)), name
+            np.testing.assert_allclose(got, want, rtol=rtol, atol=0.0,
+                                       err_msg=name)
 
 
 def test_granular_stack_run_checks_free_energy(dw03, monkeypatch):
-    # a free energy that rises between the two ends aborts the run
-    values = iter(range(10))
-    monkeypatch.setattr("mckeanflow.pde.free_energy",
-                        lambda model, rho: float(next(values)))
-    with pytest.raises(PdeError, match="free energy increased"):
-        granular_stack_run(GranularSolver(dw03, _stack_states(128)), T=1e-3)
+    # a free energy that rises between two samples of any one row aborts
+    # the run; rows are sampled in order, so call k is row k % R
+    states = _stack_states(128)
+    n_rows = len(states)
+    for row in (None, *range(n_rows)):
+        calls = iter(range(10 ** 6))
+
+        def fake(model, rho, calls=calls, row=row):
+            sample, r = divmod(next(calls), n_rows)
+            return float(sample if r == row else -sample)
+
+        monkeypatch.setattr("mckeanflow.pde.free_energy", fake)
+        run = lambda: mk.granular_run(GranularSolver(dw03, states), T=1e-3)
+        if row is None:
+            assert len(run()) == n_rows
+        else:
+            with pytest.raises(PdeError, match="free energy increased"):
+                run()
 
 
 def _count_cfl_checks(monkeypatch):
@@ -307,11 +361,12 @@ def test_vfp_free_streaming():
     state = product_state(-6, 6, 128, -2, 2, 32, vals, 0.5, 0.3)
     x0, vx0 = state.x_marginal().mean(), state.x_marginal().variance()
     v0, vv0 = state.v_marginal().mean(), state.v_marginal().variance()
-    s = VfpSolver(model, state, dt=0.01,
-                  enable_force=False, enable_diffusion=False)
-    while s.time < 1.0 - 1e-12:
-        s.step()
-    t = s.time
+    s = VfpSolver(model, state, dt=0.01)
+    t = 0.0
+    while t < 1.0 - 1e-12:
+        s._transport_x_half()
+        s._transport_x_half()
+        t += s.dt
     xm = s.state.x_marginal()
     assert xm.mean() == pytest.approx(x0 + v0 * t, abs=1e-6)
     assert xm.variance() == pytest.approx(vx0 + vv0 * t ** 2, abs=1e-6)
@@ -322,10 +377,11 @@ def test_vfp_velocity_relaxation():
     # friction + diffusion only: each column relaxes to the Maxwellian
     model = mk.standard_model(0.0, 0.3, potential=Potential.quadratic())
     state = product_state(-1, 1, 16, -3, 3, 64, np.ones(16), 1.5, 0.2)
-    s = VfpSolver(model, state, dt=0.04,
-                  enable_transport=False, enable_force=False)
-    while s.time < 10.0:
-        s.step()
+    s = VfpSolver(model, state, dt=0.04)
+    t = 0.0
+    while t < 10.0:
+        s._cc_v_solve(np.zeros(s.grid.n_x))
+        t += s.dt
     vm = s.state.v_marginal()
     ref = maxwellian(0.3, -3, 3, 64)
     assert mk.wasserstein2(vm, ref) <= 2 * s.grid.dv
@@ -420,8 +476,6 @@ def test_vfp_preconditions(dw03):
                           0.0, np.sqrt(0.3))
     with pytest.raises(PdeError):
         VfpSolver(dw03, state, dt=0.0)
-    with pytest.raises(PdeError):
-        VfpSolver(dw03, state, enable_diffusion=False)
     for T in (0.0, -1.0):
         with pytest.raises(PdeError):
             mk.vfp_run(VfpSolver(dw03, state), T)
