@@ -82,20 +82,29 @@ def _line_fit(u: np.ndarray, w: np.ndarray) -> tuple[float, float, float]:
     return float(coef[0]), float(coef[1]), r2
 
 
-def fit_exponential(t, y) -> RateFit:
-    """Least-squares fit of y ~ amplitude * exp(-rate * t) in log scale.
-
-    All samples must be strictly positive and at least 10 are required;
-    slice the window before calling.
-    """
+def _fit_window(t, y, positive_t: bool) -> tuple[np.ndarray, np.ndarray]:
+    """t and y as float arrays, checked for a log-scale fit: 1d, equal
+    length, at least 10 samples, all finite, y > 0 (and t > 0 if asked)."""
     t = np.asarray(t, dtype=float)
     y = np.asarray(y, dtype=float)
     if t.shape != y.shape or t.ndim != 1:
         raise AnalysisError("t and y must be 1d arrays of equal length")
     if len(y) < 10:
         raise AnalysisError("need at least 10 samples in the fit window")
-    if np.any(y <= 0):
+    if not (np.all(np.isfinite(t)) and np.all(np.isfinite(y))):
+        raise AnalysisError("non-finite sample in the fit window")
+    if np.any(y <= 0) or (positive_t and np.any(t <= 0)):
         raise AnalysisError("nonpositive sample in the fit window")
+    return t, y
+
+
+def fit_exponential(t, y) -> RateFit:
+    """Least-squares fit of y ~ amplitude * exp(-rate * t) in log scale.
+
+    All samples must be finite and strictly positive, and at least 10 are
+    required; slice the window before calling.
+    """
+    t, y = _fit_window(t, y, positive_t=False)
     slope, intercept, r2 = _line_fit(t, np.log(y))
     return RateFit(rate=-slope, amplitude=float(np.exp(intercept)),
                    r_squared=r2)
@@ -104,15 +113,8 @@ def fit_exponential(t, y) -> RateFit:
 def fit_power(t, y) -> RateFit:
     """Least-squares fit of y ~ amplitude * t**(-rate) in log-log scale.
 
-    Requires t > 0 and y > 0 throughout and at least 10 samples."""
-    t = np.asarray(t, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if t.shape != y.shape or t.ndim != 1:
-        raise AnalysisError("t and y must be 1d arrays of equal length")
-    if len(y) < 10:
-        raise AnalysisError("need at least 10 samples in the fit window")
-    if np.any(y <= 0) or np.any(t <= 0):
-        raise AnalysisError("nonpositive sample in the fit window")
+    Requires finite t > 0 and y > 0 throughout and at least 10 samples."""
+    t, y = _fit_window(t, y, positive_t=True)
     slope, intercept, r2 = _line_fit(np.log(t), np.log(y))
     return RateFit(rate=-slope, amplitude=float(np.exp(intercept)),
                    r_squared=r2)

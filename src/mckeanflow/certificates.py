@@ -337,6 +337,8 @@ def build_certificate(model: ModelConfig, epsilon: float | None = None,
     for _ in range(n_runs):
         start = float(rng.uniform(epsilon + 0.3 * delta, m_plus + 0.3))
         width = float(rng.uniform(0.2, 0.5))
+        # at most 1/7 of the distance to the nearer wall: no edge mass
+        width = min(width, min(start - x_lo, x_hi - start) / 7.0)
         rho0s.append(DensityGrid1D.gaussian(x_lo, x_hi, grid_n, start,
                                             width))
     solver = GranularSolver(model, rho0s)
@@ -360,10 +362,11 @@ def build_certificate(model: ModelConfig, epsilon: float | None = None,
     n_q = 20
     rho0s = []
     for _ in range(n_q):
-        shift = float(rng.uniform(-0.3, 0.3))
+        start = m_star + float(rng.uniform(-0.3, 0.3))
         width = float(rng.uniform(0.2, 0.6))
-        rho0s.append(DensityGrid1D.gaussian(x_lo, x_hi, grid_n,
-                                            m_star + shift, width))
+        width = min(width, min(start - x_lo, x_hi - start) / 7.0)
+        rho0s.append(DensityGrid1D.gaussian(x_lo, x_hi, grid_n, start,
+                                            width))
     solver = GranularSolver(model, rho0s)
     logs = granular_run(solver, T=1.0,
                         record_every=step_count(1.0, solver.dt))

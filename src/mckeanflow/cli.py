@@ -9,8 +9,8 @@ end of a successful run, plus a manifest.json with the config hash,
 package versions and wall-clock time.  Exit codes: 0 success, 2 config
 or domain validation failure, 3 numerical failure (stability violation,
 NaN), 4 certificate verdict INVALID.  With
-identical configs and seeds at --threads 1, reruns are byte-identical
-except for the manifest's wall-clock entry.
+identical configs and seeds, reruns are byte-identical at any --threads
+count except for the manifest's wall-clock entry.
 """
 
 from __future__ import annotations

@@ -29,7 +29,7 @@ from scipy.special import digamma
 
 from .analysis import TrajectoryLog, sampled_run
 from .grid import DensityGrid1D, quantiles_at
-from .model import ModelConfig
+from .model import ModelConfig, drift
 
 _INIT_STREAM = 2 ** 62  # reserved step key for the initial draw
 
@@ -121,8 +121,7 @@ def step_overdamped(ens: ParticleEnsemble, model: ModelConfig,
     if dt <= 0:
         raise ParticleError("dt must be positive")
     x = ens.positions
-    xbar = x.mean()
-    force = -model.potential.grad(x) - 2.0 * model.theta * (x - xbar)
+    force = drift(model, x, x.mean())
     noise = _stream(ens.rng_seed, ens.steps).standard_normal(x.shape)
     x += dt * force + np.sqrt(2.0 * model.sigma2 * dt) * noise
     _post_update_check(x)
@@ -138,8 +137,7 @@ def step_kinetic(ens: ParticleEnsemble, model: ModelConfig,
         raise ParticleError("dt must be positive")
     x = ens.positions
     v = ens.velocities
-    xbar = x.mean()
-    force = -model.potential.grad(x) - 2.0 * model.theta * (x - xbar)
+    force = drift(model, x, x.mean())
     noise = _stream(ens.rng_seed, ens.steps).standard_normal(x.shape)
     x += dt * v
     v += dt * (force - v) + np.sqrt(2.0 * model.sigma2 * dt) * noise

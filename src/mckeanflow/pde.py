@@ -16,6 +16,8 @@ precision.  A plain upwind scheme is kept as a cross-check option for the
 overdamped solver.  The kinetic solver is a Strang splitting: half
 x-transport, then force, friction and diffusion in v as one implicit
 solve, then the other half x-transport; each sub-step is conservative.
+Its default dt is an accuracy choice; the only bound it enforces is the
+transport bound dt <= dx/max|v|.
 
 The mean-field coupling is explicit: every step freezes m(rho) at its
 pre-step value, so each step is linear.
@@ -325,6 +327,10 @@ class VfpSolver:
     stable, keeps the density nonnegative, and leaves the discretized
     Gaussian in v exactly stationary.  On top of that only the splitting
     error remains, so the kinetic free energy decays cleanly.
+
+    dt=None picks half the smaller of dx/max|v| and dv/max|force| over all
+    means in the domain, an accuracy choice; `step` enforces only the
+    transport bound dt <= dx/max|v|, with `CflError`.
     """
 
     def __init__(self, model: ModelConfig, state: PhaseGrid2D,
@@ -349,8 +355,14 @@ class VfpSolver:
         self._mass_prev = self._mass0
         self.time = 0.0
         self.steps = 0
-        self.dt = float(dt) if dt is not None else 0.5 * self.admissible_dt(
-            worst_case=True)
+        vmax = float(np.max(np.abs(self._v)))
+        self._dt_transport = state.dx / vmax if vmax > 0 else np.inf
+        if dt is None:
+            fmax = float(np.max(np.abs(self._vp))) + 2.0 * abs(
+                model.theta) * (state.x_hi - state.x_lo)
+            dt = 0.5 * min(self._dt_transport,
+                           state.dv / fmax if fmax > 0 else np.inf)
+        self.dt = float(dt)
         if self.dt <= 0:
             raise PdeError("dt must be positive")
         # phase factors advecting each v row by v * dt/2 in x
@@ -386,21 +398,6 @@ class VfpSolver:
         weights = self._rho.sum(axis=1) * self.grid.da
         return float(np.dot(self._x, weights) / weights.sum())
 
-    def _force(self, m: float) -> np.ndarray:
-        return self._vp + 2.0 * self.model.theta * (self._x - m)
-
-    def admissible_dt(self, worst_case: bool = False) -> float:
-        vmax = float(np.max(np.abs(self._v)))
-        if worst_case:
-            span = self.grid.x_hi - self.grid.x_lo
-            fmax = float(np.max(np.abs(self._vp))) + 2.0 * abs(
-                self.model.theta) * span
-        else:
-            fmax = float(np.max(np.abs(self._force(self.x_mean()))))
-        dt_x = self.grid.dx / vmax if vmax > 0 else np.inf
-        dt_v = self.grid.dv / fmax if fmax > 0 else np.inf
-        return min(dt_x, dt_v)
-
     def _transport_x_half(self) -> None:
         spec = np.fft.rfft(self._rho, axis=0)
         spec *= self._shift_half
@@ -411,16 +408,10 @@ class VfpSolver:
         self._rho = rho
 
     def step(self) -> None:
-        m = self.x_mean()
-        force = self._force(m)
-        vmax = float(np.max(np.abs(self._v)))
-        fmax = float(np.max(np.abs(force)))
-        if self.dt * vmax > self.grid.dx * (1.0 + 1e-9):
+        if self.dt > self._dt_transport * (1.0 + 1e-9):
             raise CflError("dt=%.6g violates transport CFL; admissible "
-                           "dt <= %.6g" % (self.dt, self.grid.dx / vmax))
-        if fmax > 0 and self.dt * fmax > self.grid.dv * (1.0 + 1e-9):
-            raise CflError("dt=%.6g violates force CFL; admissible "
-                           "dt <= %.6g" % (self.dt, self.grid.dv / fmax))
+                           "dt <= %.6g" % (self.dt, self._dt_transport))
+        force = self._vp + 2.0 * self.model.theta * (self._x - self.x_mean())
         self._transport_x_half()
         self._cc_v_solve(force)
         self._transport_x_half()

@@ -67,6 +67,23 @@ def test_fit_power_rejects_nonpositive_time():
         mk.fit_power(t, np.exp(-t))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_fits_reject_non_finite_samples(bad):
+    t = np.linspace(1.0, 5.0, 12)
+    y = np.exp(-t)
+    for fit in (mk.fit_exponential, mk.fit_power):
+        with pytest.raises(AnalysisError, match="non-finite"):
+            fit(t, np.full(12, bad))
+        y_bad = y.copy()
+        y_bad[5] = bad
+        with pytest.raises(AnalysisError, match="non-finite"):
+            fit(t, y_bad)
+        t_bad = t.copy()
+        t_bad[-1] = bad
+        with pytest.raises(AnalysisError, match="non-finite"):
+            fit(t_bad, y)
+
+
 def test_detect_sign_change_linear_interpolation():
     t = np.linspace(0, 2, 21)
     y = np.cos(np.pi / 2 * t)  # crosses zero at t=1

@@ -183,3 +183,12 @@ def test_build_certificate_scans_fixed_points_once(dw03, monkeypatch):
     alpha = mk.contraction_factor(mk.SelfConsistency1D(dw03), rep.epsilon)
     assert rep.alpha_eps == alpha
     assert len(calls) == 2
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("seed", [1, 20240])
+def test_certificate_start_states_clear_the_walls(dw03, seed):
+    # 256 cells on [-4.5, 4.5]: the widest draws used to leave up to 1.6e-9
+    # of mass in the edge cells, past the solver's 1e-10 boundary warning
+    report = build_certificate(dw03, seed=seed, grid_n=256, n_runs=1)
+    assert report.verdict == "VALID"

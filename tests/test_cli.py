@@ -139,6 +139,9 @@ def test_verbose_reports_cfl_cover(tmp_path, capsys, dt, verdict):
 
 def test_domain_error_exit_2(tmp_path, capsys):
     missing = str(tmp_path / "missing.csv")
+    nan_traj = tmp_path / "nan_traj.csv"
+    nan_traj.write_text("t,W2_ref\n" + "".join(
+        "%g,nan\n" % (0.1 * k) for k in range(20)))
     model = {"theta": 1.0, "sigma2": 0.3}
     cases = [
         # supercritical temperature: no nonzero fixed point to localize on
@@ -150,6 +153,10 @@ def test_domain_error_exit_2(tmp_path, capsys):
                                                               0.5]]}}),
         ("rates-report", {"trajectory": missing,
                           "fits": [{"column": "w2",
+                                    "kind": "exponential"}]}),
+        # a pde-run trajectory without a reference logs W2_ref as nan
+        ("rates-report", {"trajectory": str(nan_traj),
+                          "fits": [{"column": "W2_ref",
                                     "kind": "exponential"}]}),
         ("pde-run", {"model": model,
                      "grid": {"x_lo": -4.0, "x_hi": 4.0, "n": 64},
@@ -214,6 +221,30 @@ def test_rerun_byte_identical(tmp_path):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
+def test_rerun_byte_identical_across_thread_counts(tmp_path):
+    cfg = write_cfg(tmp_path, {
+        "model": {"theta": 1.0, "sigma2": 0.3},
+        "mode": "kinetic",
+        "n_particles": 128,
+        "seeds": [3, 4, 5],
+        "dt": 1e-2,
+        "T": 0.1,
+        "record_every": 5,
+    })
+    outs = []
+    for threads in ("1", "2"):
+        out_dir = tmp_path / ("t" + threads)
+        assert main(["particles-run", "--config", cfg, "--threads", threads,
+                     "--out", str(out_dir)]) == 0
+        outs.append(out_dir)
+    names = sorted(p.name for p in outs[0].iterdir())
+    assert names == sorted(p.name for p in outs[1].iterdir())
+    for name in names:
+        if name != "manifest.json":
+            assert (outs[0] / name).read_bytes() == (
+                outs[1] / name).read_bytes()
+
+
 def test_threads_env_fallback(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("MCKEANFLOW_THREADS", "zombie")
     cfg = write_cfg(tmp_path, {"model": {"theta": 1.0, "sigma2": 0.3}})
@@ -260,6 +291,30 @@ def test_vfp_run_smoke(tmp_path):
     assert (out_dir / "trajectory.csv").exists()
     header = (out_dir / "trajectory.csv").read_text().splitlines()[0]
     assert header.startswith("t,")
+
+
+def test_vfp_run_dt_checked_against_transport_bound_only(tmp_path, capsys):
+    # c09's grid: transport bound dx/max|v| = 2.78e-2; dt = 5e-3 is above
+    # the force scale dv/max|force| (about 2.8e-3) and runs
+    payload = {
+        "model": {"theta": 1.0, "sigma2": 1.0},
+        "phase_grid": {"x_lo": -3.5, "x_hi": 3.5, "n_x": 64,
+                       "v_lo": -4.0, "v_hi": 4.0, "n_v": 64},
+        "init": {"kind": "equilibrium", "mean": 0.0, "shift": 0.3},
+        "T": 0.1,
+    }
+    for dt, code in ((0.03, 3), (5e-3, 0)):
+        cfg = write_cfg(tmp_path, dict(payload, dt=dt))
+        out_dir = tmp_path / ("vfp%g" % dt)
+        assert main(["vfp-run", "--config", cfg,
+                     "--out", str(out_dir)]) == code
+        err = capsys.readouterr().err
+        if code:
+            assert "CflError" in err and "transport CFL" in err
+            assert not out_dir.exists()
+        else:
+            assert err == ""
+            assert (out_dir / "trajectory.csv").exists()
 
 
 def test_invalid_certificate_exit_4(tmp_path, monkeypatch, capsys):

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import mckeanflow as mk
 from mckeanflow import (CflError, DensityGrid1D, GranularSolver, PdeError,
                         PhaseGrid2D, Potential, VfpSolver)
+from mckeanflow.analysis import step_count
 from mckeanflow.grid import maxwellian
 from mckeanflow.meanfield import discrete_fixed_mean, equilibrium_for_mean
 from mckeanflow.pde import _cc_fluxes
@@ -495,6 +496,34 @@ def test_vfp_warns_on_boundary_mass(dw03):
         VfpSolver(dw03, state)
 
 
+@pytest.mark.parametrize("dt", [5e-3, 1e-2, 2.7e-2])
+def test_vfp_steps_above_force_bound(dt):
+    # c09's grid: dv/max|force| at the initial mean is about 2.8e-3 and the
+    # transport bound dx/max|v| is 2.78e-2, so each dt lies between them;
+    # the implicit velocity solve keeps mass and positivity
+    model = mk.standard_model(1.0, 1.0)
+    shifted = equilibrium_for_mean(model, 0.0, -3.5, 3.5, 64, shift=0.3)
+    state = product_state(-3.5, 3.5, 64, -4.0, 4.0, 64, shifted.values,
+                          0.0, 1.0)
+    s = VfpSolver(model, state, dt=dt)
+    force = s._vp + 2.0 * model.theta * (s._x - s.x_mean())
+    assert s.grid.dv / np.max(np.abs(force)) < dt
+    assert dt <= s.grid.dx / np.max(np.abs(s._v))
+    if dt < 2e-2:
+        log = mk.vfp_run(s, T=4.0, record_every=max(1, round(0.1 / dt)))
+        f = log.column("F")
+        assert len(f) >= 20
+        assert np.all(np.diff(f) <= 1e-6 * (1.0 + np.abs(f[:-1])))
+    else:
+        # here the splitting error lifts F by 1.1e-5 in the first step,
+        # past vfp_run's 1e-6 tolerance, so step without the F check
+        for _ in range(step_count(4.0, dt)):
+            s.step()
+    assert s.steps == step_count(4.0, dt)
+    assert abs(s._rho.sum() * s.grid.da - 1.0) <= 1e-11
+    assert s._rho.min() >= -1e-8 * s._rho.max()
+
+
 # ---- the shared Chang-Cooper operator ------------------------------------------
 
 
@@ -615,3 +644,48 @@ def test_covering_dt_covers_every_mean(pot, theta, sigma2, x_lo, x_hi, n):
     signs = (-1.0) ** np.arange(n - 1)
     sharp = min(s._admissible_for_w(sg * big_w)[0] for sg in (signs, -signs))
     assert s.covering_dt == pytest.approx(sharp, rel=1e-12)
+
+
+# ---- the granular step across the model space ------------------------------------
+
+
+@pytest.mark.filterwarnings("ignore:boundary cells")
+@settings(max_examples=200, deadline=None)
+@given(pot=st.integers(0, len(_POTENTIALS) - 1),
+       theta=st.floats(-1.0, 3.0),
+       sigma2=st.floats(0.1, 2.0),
+       n=st.integers(64, 512),
+       scheme=st.sampled_from(["chang-cooper", "upwind"]),
+       mean=st.floats(-1.5, 1.5))
+def test_granular_step_structure_across_models(pot, theta, sigma2, n, scheme,
+                                               mean):
+    model = mk.standard_model(theta, sigma2, potential=_POTENTIALS[pot])
+    # 200 steps from a Gaussian: mass and positivity for both schemes; the
+    # free energy is a Lyapunov function of the Chang-Cooper step only
+    # (upwind relaxes to its own steady state, off the discrete Gibbs one)
+    s = GranularSolver(model, gaussian_grid(-4.0, 4.0, n, mean, 0.6),
+                       scheme=scheme)
+    f = [mk.free_energy(model, s.state)]
+    for k in range(1, 201):
+        s.step()
+        if k % 20 == 0:
+            f.append(mk.free_energy(model, s.state))
+    assert abs(s.state.mass() - 1.0) <= 1e-12
+    assert s._rho.min() >= 0.0
+    if scheme != "chang-cooper":
+        return
+    f = np.array(f)
+    assert np.all(np.diff(f) <= 1e-8 * (1.0 + np.abs(f[:-1])))
+    # the discrete self-consistent density, where the discrete mean map
+    # iteration finds it, is an exact steady state of the step
+    try:
+        m_d = discrete_fixed_mean(model, -4.0, 4.0, n, mean)
+    except mk.MeanFieldError:
+        m_d = None
+    assume(m_d is not None)
+    rho_d = equilibrium_for_mean(model, m_d, -4.0, 4.0, n)
+    s = GranularSolver(model, rho_d)
+    for _ in range(100):
+        s.step()
+    assert np.max(np.abs(s._rho - rho_d.values)) <= 1e-12 * np.max(
+        rho_d.values)
