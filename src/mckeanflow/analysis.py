@@ -42,9 +42,20 @@ class TrajectoryLog:
         return "\n".join(lines) + "\n"
 
 
+# the most steps one run may take; past it a run would not end in any
+# useful time
+MAX_STEPS = 10 ** 8
+
+
 def step_count(T: float, dt: float) -> int:
-    """max(1, ceil(T/dt)) steps, forgiving T/dt a 1e-12 rounding excess."""
-    return max(1, int(np.ceil(T / dt - 1e-12)))
+    """max(1, ceil(T/dt)) steps, forgiving T/dt a 1e-12 rounding excess.
+
+    More than `MAX_STEPS` steps raise `AnalysisError`."""
+    n = np.ceil(T / dt - 1e-12)
+    if not n <= MAX_STEPS:
+        raise AnalysisError("dt=%.6g and T=%.6g take %.6g steps, more than "
+                            "the budget of %d" % (dt, T, n, MAX_STEPS))
+    return max(1, int(n))
 
 
 def sampled_run(step: Callable[[], None], sample: Callable[[], None],

@@ -32,13 +32,13 @@ import numpy as np
 from numpy.polynomial import polynomial as P
 
 from .analysis import step_count
-from .grid import (DensityGrid1D, equilibrium_for_mean, free_energy,
-                   relative_entropy, wasserstein2)
+from .grid import (DensityGrid1D, GridError, equilibrium_for_mean,
+                   free_energy, relative_entropy, wasserstein2)
 from .meanfield import (SelfConsistency1D, _contraction_factor,
                         contraction_factor, discrete_fixed_mean,
                         find_fixed_points)
 from .model import ModelConfig
-from .pde import GranularSolver, granular_run
+from .pde import EDGE_MASS_TOL, GranularSolver, granular_run
 
 
 class CertificateError(RuntimeError):
@@ -261,7 +261,9 @@ def build_certificate(model: ModelConfig, epsilon: float | None = None,
 
     epsilon defaults to 0.2 * m_plus.  Validation runs the overdamped
     solver on `grid_n` cells over `bounds`; any failed check marks the
-    report INVALID and records the offending sample.  The runs of each
+    report INVALID and records the offending sample.  Bounds on which a
+    boundary cell of the discrete stationary density carries more than
+    `EDGE_MASS_TOL` of its mass raise `GridError`.  The runs of each
     trajectory check (nonlinear_lsi, q1_regularization, decay_envelope)
     share one grid and dt, so each check advances them as one stack.
 
@@ -313,6 +315,11 @@ def build_certificate(model: ModelConfig, epsilon: float | None = None,
     # an exact steady state of the scheme
     m_star = discrete_fixed_mean(model, x_lo, x_hi, grid_n, m_plus)
     rho_star = equilibrium_for_mean(model, m_star, x_lo, x_hi, grid_n)
+    edge = float(np.max(rho_star.values[[0, -1]])) * rho_star.dx
+    if edge > EDGE_MASS_TOL:
+        raise GridError("the stationary density's boundary cells carry "
+                        "mass %.2e > %.0e on [%g, %g]; widen the bounds"
+                        % (edge, EDGE_MASS_TOL, x_lo, x_hi))
     f_star = free_energy(model, rho_star)
 
     # 1. Talagrand consequence of the uniform LSI on random pairs

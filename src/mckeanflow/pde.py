@@ -10,14 +10,14 @@ and its kinetic counterpart on (x, v):
 
 Both solvers share one exponential-fitting flux (Chang-Cooper weights):
 with frozen mean the discretized Gibbs density is exactly stationary,
-every cell stays nonnegative (under the CFL bound for the explicit
-overdamped step), and no-flux boundaries conserve mass to machine
-precision.  A plain upwind scheme is kept as a cross-check option for the
-overdamped solver.  The kinetic solver is a Strang splitting: half
-x-transport, then force, friction and diffusion in v as one implicit
-solve, then the other half x-transport; each sub-step is conservative.
-Its default dt is an accuracy choice; the only bound it enforces is the
-transport bound dt <= dx/max|v|.
+every cell stays nonnegative, and no-flux boundaries conserve mass to
+machine precision.  The overdamped step is explicit; its one dt rule, a
+bound that keeps the step positive for every mean in the domain, is
+checked when the solver is built.  The kinetic solver is a Strang
+splitting: half x-transport, then force, friction and diffusion in v as
+one implicit solve, then the other half x-transport; each sub-step is
+conservative.  Its default dt is an accuracy choice; the only bound it
+enforces is the transport bound dt <= dx/max|v|.
 
 The mean-field coupling is explicit: every step freezes m(rho) at its
 pre-step value, so each step is linear.
@@ -45,6 +45,10 @@ class PdeError(ArithmeticError):
 
 class CflError(PdeError):
     """Time step exceeds the stability bound."""
+
+
+# boundary-cell mass past which the domain cuts off part of the density
+EDGE_MASS_TOL = 1e-10
 
 
 def _cc_weights(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -94,27 +98,22 @@ class GranularSolver:
         steps on the single-run layout, bit for bit.  `state` and `mean()`
         serve single runs; `states` serves both.
     dt : float or None
-        Time step.  None picks `0.5 * admissible_dt(worst_case=True)`.
-    scheme : "chang-cooper" or "upwind"
+        Time step.  None picks `covering_dt`; a larger dt raises
+        `CflError`.
 
     A mean m in [x_lo, x_hi] gives interface weights |w_i| <= W_i =
     |w_pot,i| + |c_mean|*(x_hi - x_lo).  `covering_dt` is a dt admissible
     for every such mean: the diffusion-drift bound is monotone in max|w|,
     and since P(w) = w/(e^w - 1) is decreasing, every outflow weight
-    P(-w_i) + P(w_{i-1}) is at most P(-W_i) + P(-W_{i-1}).  The default
-    dt stays within it.  While dt <= covering_dt (`cfl_proven`) the step
+    P(-w_i) + P(w_{i-1}) is at most P(-W_i) + P(-W_{i-1}).  So `step`
     checks only that each mean lies in [x_lo, x_hi] (a mean divides by
-    the initial mass, which may drift within its tolerance); a larger
-    user dt, or a mean outside that interval, gets the admissible-dt
-    check at the present means on every step, with `CflError` if it
-    fails.
+    the initial mass, which may drift within its tolerance), and raises
+    `PdeError` if one does not.
     """
 
     def __init__(self, model: ModelConfig,
                  state: DensityGrid1D | Sequence[DensityGrid1D],
-                 dt: float | None = None, scheme: str = "chang-cooper"):
-        if scheme not in ("chang-cooper", "upwind"):
-            raise PdeError("unknown scheme %r" % (scheme,))
+                 dt: float | None = None):
         self._stacked = not isinstance(state, DensityGrid1D)
         states = list(state) if self._stacked else [state]
         if not states:
@@ -125,11 +124,9 @@ class GranularSolver:
         if not all(s.is_normalized() for s in states):
             raise PdeError("initial density must be normalized")
         self.model = model
-        self.scheme = scheme
         self.x_lo, self.x_hi, self.n = first.x_lo, first.x_hi, first.n
         self.dx = first.dx
         x = first.centers
-        self._x = x
         rho = np.array([s.values for s in states])
         self._rho = rho if len(states) > 1 else rho[0]
         # per-row quantities are scalars for one row and (R, 1) columns for
@@ -138,7 +135,7 @@ class GranularSolver:
         self._xm = x[:, None] if wide else x
         self._all = np.all if wide else bool
         boundary = float(np.max(self._rho[..., [0, -1]])) * self.dx
-        if boundary > 1e-10:
+        if boundary > EDGE_MASS_TOL:
             warnings.warn("boundary cells carry mass %.2e; domain may be "
                           "too small" % boundary)
         # interface quantities: w = -(E(x_{i+1}) - E(x_i)) / sigma2 splits
@@ -148,20 +145,19 @@ class GranularSolver:
         self._w_pot = -np.diff(v) / s2
         self._x_if = 0.5 * (x[:-1] + x[1:])
         self._c_mean = 2.0 * model.theta * self.dx / s2
-        # W_i, the bound on |w_i| over all means in [x_lo, x_hi]
-        self._w_bound = (np.abs(self._w_pot)
-                         + abs(self._c_mean) * (self.x_hi - self.x_lo))
         self._mass0 = self._rho.sum(axis=-1, keepdims=wide) * self.dx
         self._mass_prev = self._mass0
         self._mass_tol = 1e-12 * np.maximum(1.0, self._mass0)
         self.time = 0.0
         self.steps = 0
-        self.dt = float(dt) if dt is not None else 0.5 * self.admissible_dt(
-            worst_case=True)
-        if self.dt <= 0:
-            raise PdeError("dt must be positive")
         self.covering_dt = self._covering_dt()
-        self.cfl_proven = self.dt <= self.covering_dt
+        self.dt = float(dt) if dt is not None else self.covering_dt
+        if not self.dt > 0:
+            raise PdeError("dt must be positive")
+        if self.dt > self.covering_dt * (1.0 + 1e-9):
+            raise CflError("dt=%.6g unstable; admissible dt <= %.6g, the "
+                           "covering bound for every mean in the domain"
+                           % (self.dt, self.covering_dt))
 
     @property
     def state(self) -> DensityGrid1D:
@@ -186,70 +182,31 @@ class GranularSolver:
     def _interface_w(self, m) -> np.ndarray:
         return self._w_pot + self._c_mean * (m - self._x_if)
 
-    def _admissible_for_w(self, w: np.ndarray
-                          ) -> tuple[float, np.ndarray, np.ndarray]:
-        """Admissible dt for interface weights w (the smallest over the
-        rows of a stack), and the Chang-Cooper weights (a, b) behind it."""
-        s2 = self.model.sigma2
-        # dx * max|drift| equals s2 * max|w|, so the diffusion-drift CFL
-        # bound dx^2/(2*s2 + dx*max|drift|) reads s2*(2 + max|w|) below
-        wmax = float(np.max(np.abs(w)))
-        formula = self.dx ** 2 / (s2 * (2.0 + wmax))
-        # sharp positivity bound: per-cell sum of outflow weights
-        a, b, out = _cc_fluxes(w)
-        coeff = float(np.max(out))
-        return min(formula, self.dx ** 2 / (s2 * coeff)), a, b
-
     def _covering_dt(self) -> float:
-        """Admissible dt for every mean in [x_lo, x_hi], from the bounds
-        |w_i| <= W_i, P(-w_i) <= P(-W_i) and P(w_i) <= P(-W_i)."""
+        """Admissible dt for every mean in [x_lo, x_hi]: the diffusion-drift
+        CFL bound dx^2/(2*sigma2 + dx*max|drift|), which reads
+        dx^2/(sigma2*(2 + max|w|)), and the positivity bound, each at the
+        bounds |w_i| <= W_i, P(-w_i) <= P(-W_i) and P(w_i) <= P(-W_i)."""
         s2 = self.model.sigma2
-        formula = self.dx ** 2 / (s2 * (2.0 + float(np.max(self._w_bound))))
-        p = _cc_weights(-self._w_bound)[1]
+        w_bound = (np.abs(self._w_pot)
+                   + abs(self._c_mean) * (self.x_hi - self.x_lo))
+        formula = self.dx ** 2 / (s2 * (2.0 + float(np.max(w_bound))))
+        p = _cc_weights(-w_bound)[1]
         coeff = float(np.max(_outflow(p, p)))
         return min(formula, self.dx ** 2 / (s2 * coeff))
 
-    def admissible_dt(self, worst_case: bool = False) -> float:
-        """Largest stable dt at the present means (the smallest over the
-        rows of a stack): min of the diffusion-drift CFL bound
-        dx^2/(2*sigma2 + dx*max|drift|) and the positivity bound.
-
-        worst_case=True evaluates the same rule at the weights W_i >= 0
-        (see the class docstring).  Its diffusion-drift term covers every
-        mean in [x_lo, x_hi]; its positivity term does not, since it takes
-        b_{i-1} = P(W_{i-1}) where the cover needs P(-W_{i-1}) = P(W_{i-1})
-        + W_{i-1}.  Each P(-W_j) is already one term of this rule's
-        outflow weights, so the covering coefficient is at most twice this
-        one, and half of this dt, the default, stays within `covering_dt`.
-        """
-        if worst_case:
-            return self._admissible_for_w(self._w_bound)[0]
-        return self._admissible_for_w(self._interface_w(self._means()))[0]
-
     def step(self) -> None:
         rho = self._rho
-        s2 = self.model.sigma2
         m = self._means()
-        w = self._interface_w(m)
-        if self.cfl_proven and self._all((m >= self.x_lo)
-                                         & (m <= self.x_hi)):
-            a, b = _cc_weights(w)
-        else:
-            adm, a, b = self._admissible_for_w(w)
-            if self.dt > adm * (1.0 + 1e-9):
-                raise CflError("dt=%.6g unstable; admissible dt <= %.6g"
-                               % (self.dt, adm))
+        if not self._all((m >= self.x_lo) & (m <= self.x_hi)):
+            raise PdeError("mean left [%.6g, %.6g] at t=%.6g; the covering "
+                           "dt no longer holds"
+                           % (self.x_lo, self.x_hi, self.time))
+        a, b = _cc_weights(self._interface_w(m))
         # fluxes through all n + 1 faces; the two boundary faces carry none
         flux = np.zeros(rho.shape[:-1] + (self.n + 1,))
-        if self.scheme == "chang-cooper":
-            flux[..., 1:-1] = (s2 / self.dx) * (a * rho[..., :-1]
-                                                - b * rho[..., 1:])
-        else:
-            drift = s2 * w / self.dx
-            flux[..., 1:-1] = (np.maximum(drift, 0.0) * rho[..., :-1]
-                               + np.minimum(drift, 0.0) * rho[..., 1:]
-                               + (s2 / self.dx) * (rho[..., :-1]
-                                                   - rho[..., 1:]))
+        flux[..., 1:-1] = (self.model.sigma2 / self.dx) * (
+            a * rho[..., :-1] - b * rho[..., 1:])
         rho += (self.dt / self.dx) * (flux[..., :-1] - flux[..., 1:])
         if rho.min() < 0.0:
             if np.any(rho.min(axis=-1) < -1e-13 * rho.max(axis=-1)):
@@ -347,7 +304,7 @@ class VfpSolver:
         # the x advection wraps around, so mass touching the x boundary
         # reenters on the other side; the v boundary is a hard wall
         edge = max(float(self._rho[0].max()), float(self._rho[-1].max()))
-        if edge * state.da > 1e-10:
+        if edge * state.da > EDGE_MASS_TOL:
             warnings.warn("x-boundary cells carry density %.2e; spectral "
                           "transport wraps around, enlarge the domain"
                           % edge)

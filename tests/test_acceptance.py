@@ -75,7 +75,7 @@ def test_c03_dissipation_identity(dw03):
     # relative Fisher information
     started = time.perf_counter()
     rho0 = DensityGrid1D.gaussian(-4.0, 4.0, 2048, 0.05, 0.35)
-    solver = GranularSolver(dw03, rho0)  # dt defaults to half the CFL bound
+    solver = GranularSolver(dw03, rho0)  # dt defaults to the covering bound
     log = mk.granular_run(solver, T=10.0, record_every=2000)
     t = log.column("t")
     f = log.column("F")

@@ -1,5 +1,6 @@
 import json
 import os
+import time
 
 import numpy as np
 import pytest
@@ -113,12 +114,11 @@ def test_cfl_failure_exit_3(tmp_path, capsys):
     assert not out_dir.exists()
 
 
-@pytest.mark.parametrize("dt, verdict", [(None, "proven away"),
-                                         (6e-4, "kept")])
-def test_verbose_reports_cfl_cover(tmp_path, capsys, dt, verdict):
-    # default dt 3.8e-4 and covering dt 4.4e-4 on this grid; 6e-4 is still
-    # admissible near the initial mean (8.3e-4), so it runs with the
-    # per-step check
+@pytest.mark.parametrize("dt, code", [(None, 0), (6e-4, 3)])
+def test_verbose_reports_cfl_cover(tmp_path, capsys, dt, code):
+    # the default dt is the covering dt 4.4e-4 on this grid; 6e-4 is still
+    # admissible near the initial mean (8.3e-4), but not for every mean in
+    # the domain, so it is refused before any step
     payload = {"model": {"theta": 1.0, "sigma2": 0.3},
                "grid": {"x_lo": -4.0, "x_hi": 4.0, "n": 128},
                "init": {"mean": 0.5, "std": 0.4}, "T": 0.01}
@@ -126,13 +126,16 @@ def test_verbose_reports_cfl_cover(tmp_path, capsys, dt, verdict):
         payload["dt"] = dt
     cfg = write_cfg(tmp_path, payload)
     quiet, loud = tmp_path / "quiet", tmp_path / "loud"
-    assert main(["pde-run", "--config", cfg, "--out", str(quiet)]) == 0
-    assert capsys.readouterr().err == ""
+    assert main(["pde-run", "--config", cfg, "--out", str(quiet)]) == code
+    assert (capsys.readouterr().err == "") == (code == 0)
     assert main(["pde-run", "--config", cfg, "--out", str(loud),
-                 "--verbose"]) == 0
+                 "--verbose"]) == code
     err = capsys.readouterr().err
-    assert "covering dt=0.000435761" in err
-    assert "per-step CFL check " + verdict in err
+    if code:
+        assert "CflError" in err and "admissible dt <= 0.000435761" in err
+        assert not quiet.exists() and not loud.exists()
+        return
+    assert "dt=0.000435761, 128 cells" in err
     for name in ("trajectory.csv", "final_state.csv", "report.json"):
         assert (quiet / name).read_bytes() == (loud / name).read_bytes()
 
@@ -166,14 +169,74 @@ def test_domain_error_exit_2(tmp_path, capsys):
                                     "potential": {"kind": "quadratic"}}}),
         # the Gibbs tails reach past the widest quadrature domain
         ("fixed-points", {"model": {"theta": 1.0, "sigma2": 1e30}}),
+        # seeds must lie in [0, 2**63): numpy turns a larger Philox key
+        # into float64, so 2**63 and 2**63 + 1 would draw the same noise
+        ("particles-run", {"model": model, "n_particles": 64,
+                           "seeds": [2 ** 70], "T": 0.1}),
+        ("particles-run", {"model": model, "n_particles": 64,
+                           "seeds": [2 ** 63], "T": 0.1}),
+        ("particles-run", {"model": model, "n_particles": 64,
+                           "seeds": [-1], "T": 0.1}),
+        # the ensemble needs at least 64 particles
+        ("particles-run", {"model": model, "n_particles": 63,
+                           "seeds": [0], "T": 0.1}),
+        ("particles-run", {"model": model, "n_particles": 2,
+                           "seeds": [0], "T": 0.1}),
+        # mixture components need a positive width and a nonnegative weight
+        ("pde-run", {"model": model,
+                     "grid": {"x_lo": -4.0, "x_hi": 4.0, "n": 64},
+                     "init": {"kind": "mixture",
+                              "components": [[1.0, 0.0, -0.5]]}, "T": 0.1}),
+        ("pde-run", {"model": model,
+                     "grid": {"x_lo": -4.0, "x_hi": 4.0, "n": 64},
+                     "init": {"kind": "mixture",
+                              "components": [[1.0, 0.0, 0.0]]}, "T": 0.1}),
+        ("pde-run", {"model": model,
+                     "grid": {"x_lo": -4.0, "x_hi": 4.0, "n": 64},
+                     "init": {"kind": "mixture",
+                              "components": [[1.5, -1.0, 0.5],
+                                             [-0.5, 1.0, 0.5]]}, "T": 0.1}),
+        # the far bump at 2/epsilon - 1 = 39 lies off the grid
+        ("counterexample", {"grid": {"x_lo": -6.0, "x_hi": 10.0,
+                                     "n": 256}}, "bump at x=39 "),
+        # the near bump at -1 sits within 5*s0 of the lower edge
+        ("counterexample", {"s0": 0.3, "grid": {"x_lo": -2.0, "x_hi": 41.0,
+                                                "n": 256}}, "bump at x=-1 "),
+        # the stationary density's edge cells carry 2.7e-2 of its mass
+        ("certificate", {"model": model, "x_lo": -1.0, "x_hi": 1.0,
+                         "grid_n": 64, "n_runs": 1}, "mass 2.69e-02"),
     ]
-    for k, (experiment, payload) in enumerate(cases):
+    for k, (experiment, payload, *named) in enumerate(cases):
         cfg = write_cfg(tmp_path, payload, name="cfg%d.json" % k)
         out_dir = tmp_path / ("o%d" % k)
         assert main([experiment, "--config", cfg,
                      "--out", str(out_dir)]) == 2, experiment
-        assert "code=2" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "code=2" in err
+        assert all(needle in err for needle in named), err
         assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("experiment, payload", [
+    ("pde-run", {"grid": {"x_lo": -4.0, "x_hi": 4.0, "n": 64}, "T": 0.01}),
+    ("vfp-run", {"phase_grid": {"x_lo": -3.5, "x_hi": 3.5, "n_x": 32,
+                                "v_lo": -4.0, "v_hi": 4.0, "n_v": 32},
+                 "T": 0.05}),
+    ("particles-run", {"n_particles": 64, "seeds": [0], "T": 0.1}),
+])
+def test_step_budget_exit_2(tmp_path, capsys, experiment, payload):
+    # 1e-300 would take about 1e298 steps: refused before the first one
+    cfg = write_cfg(tmp_path, dict(payload, model={"theta": 1.0,
+                                                   "sigma2": 0.3},
+                                   dt=1e-300))
+    out_dir = tmp_path / "out"
+    started = time.perf_counter()
+    assert main([experiment, "--config", cfg, "--out", str(out_dir)]) == 2
+    assert time.perf_counter() - started < 1.0
+    err = capsys.readouterr().err
+    assert "AnalysisError" in err and "dt=1e-300" in err
+    assert "budget of 100000000" in err
+    assert not out_dir.exists()
 
 
 def test_particles_run_outputs(tmp_path):

@@ -21,19 +21,17 @@ def gaussian_grid(x_lo, x_hi, n, mean, std):
 # ---- overdamped solver ---------------------------------------------------------
 
 
-def test_granular_default_dt_is_half_worst_case():
+def test_granular_default_dt_is_covering_dt():
     model = mk.standard_model(1.0, 0.3)
     rho = gaussian_grid(-4, 4, 128, 0.5, 0.4)
     s = GranularSolver(model, rho)
-    assert s.dt == pytest.approx(0.5 * s.admissible_dt(worst_case=True))
-    assert s.admissible_dt(worst_case=True) <= rho.dx ** 2 / (2 * model.sigma2)
+    assert s.dt == s.covering_dt
+    assert s.covering_dt <= rho.dx ** 2 / (2 * model.sigma2)
 
 
 def test_granular_rejects_bad_input():
     model = mk.standard_model(1.0, 0.3)
     rho = gaussian_grid(-4, 4, 128, 0.5, 0.4)
-    with pytest.raises(PdeError):
-        GranularSolver(model, rho, scheme="spectral")
     with pytest.raises(PdeError):
         GranularSolver(model, rho, dt=-1e-4)
     unnorm = DensityGrid1D(-4, 4, 128, 2.0 * rho.values)
@@ -47,9 +45,8 @@ def test_granular_rejects_bad_input():
 def test_granular_cfl_violation_names_admissible_dt():
     model = mk.standard_model(1.0, 0.3)
     rho = gaussian_grid(-4, 4, 128, 0.5, 0.4)
-    s = GranularSolver(model, rho, dt=1.0)
     with pytest.raises(CflError, match="admissible"):
-        s.step()
+        GranularSolver(model, rho, dt=1.0)
 
 
 def test_granular_ou_mean_decay():
@@ -126,15 +123,32 @@ def test_granular_refinement_convergence(dw03):
     assert err[256] < err[128] / 2.0
 
 
+def _upwind_run(model, rho, dt, T):
+    """Reference: explicit upwind drift plus central diffusion with no-flux
+    ends and the mean frozen per step; stable for dt <= covering_dt."""
+    x, dx, s2 = rho.centers, rho.dx, model.sigma2
+    x_if = 0.5 * (x[:-1] + x[1:])
+    pot_drift = -np.diff(model.potential.value(x)) / dx
+    vals, t = rho.values.copy(), 0.0
+    while t < T:
+        m = np.sum(x * vals) / np.sum(vals)
+        drift = pot_drift + 2.0 * model.theta * (m - x_if)
+        flux = np.zeros(len(vals) + 1)
+        flux[1:-1] = (np.maximum(drift, 0.0) * vals[:-1]
+                      + np.minimum(drift, 0.0) * vals[1:]
+                      + (s2 / dx) * (vals[:-1] - vals[1:]))
+        vals += (dt / dx) * (flux[:-1] - flux[1:])
+        t += dt
+    return DensityGrid1D(rho.x_lo, rho.x_hi, rho.n, vals)
+
+
 def test_granular_upwind_cross_check(dw03):
     rho = gaussian_grid(-4, 4, 256, 0.5, 0.4)
-    out = {}
-    for scheme in ("chang-cooper", "upwind"):
-        s = GranularSolver(dw03, rho, scheme=scheme)
-        while s.time < 0.5:
-            s.step()
-        out[scheme] = s.state
-    assert mk.wasserstein2(out["chang-cooper"], out["upwind"]) <= 5 * rho.dx
+    s = GranularSolver(dw03, rho)
+    while s.time < 0.5:
+        s.step()
+    upwind = _upwind_run(dw03, rho, s.dt, 0.5)
+    assert mk.wasserstein2(s.state, upwind) <= 5 * rho.dx
 
 
 def test_granular_run_log(dw03):
@@ -161,11 +175,10 @@ def _stack_states(n=256):
             for mean, std in ((0.9, 0.3), (-0.5, 0.5), (0.1, 0.25))]
 
 
-@pytest.mark.parametrize("scheme", ["chang-cooper", "upwind"])
-def test_granular_stack_rows_match_single_runs(dw03, scheme):
+def test_granular_stack_rows_match_single_runs(dw03):
     states = _stack_states()
-    stack = GranularSolver(dw03, states, scheme=scheme)
-    singles = [GranularSolver(dw03, rho, scheme=scheme) for rho in states]
+    stack = GranularSolver(dw03, states)
+    singles = [GranularSolver(dw03, rho) for rho in states]
     assert all(s.dt == stack.dt for s in singles)
     for _ in range(2000):
         stack.step()
@@ -295,50 +308,31 @@ def test_granular_stack_run_checks_free_energy(dw03, monkeypatch):
                 run()
 
 
-def _count_cfl_checks(monkeypatch):
-    calls = []
-    check = GranularSolver._admissible_for_w
-
-    def counted(self, w):
-        calls.append(w.shape)
-        return check(self, w)
-
-    monkeypatch.setattr(GranularSolver, "_admissible_for_w", counted)
-    return calls
-
-
-def test_granular_cfl_check_only_where_unproven(dw03, monkeypatch):
+def test_granular_cfl_check_only_where_unproven(dw03):
     rho = gaussian_grid(-4, 4, 128, 0.5, 0.4)
-    calls = _count_cfl_checks(monkeypatch)
     s = GranularSolver(dw03, rho)
-    assert s.cfl_proven and s.dt <= s.covering_dt
-    calls.clear()
     for _ in range(20):
         s.step()
-    assert calls == []
-    # a mean outside [x_lo, x_hi] (faked through the reference mass) falls
-    # back to the full check
+    # a mean outside [x_lo, x_hi] (faked through the reference mass) is
+    # not covered by the dt bound, so the step refuses it
     s._mass0 = 0.1 * s._mass0
     assert s._means() > s.x_hi
-    s.step()
-    assert len(calls) == 1
+    with pytest.raises(PdeError, match="mean left"):
+        s.step()
+    assert s.steps == 20
 
 
-def test_granular_user_dt_above_covering_bound_steps(dw03, monkeypatch):
-    # dt between the covering bound and the admissible dt at the present
-    # means is checked on every step, and steps
+def test_granular_user_dt_above_covering_bound_steps(dw03):
+    # a dt above the covering bound is refused at construction, for a
+    # single run and for a stack; the bound itself is accepted
     states = _stack_states(128)
     probe = GranularSolver(dw03, states)
-    assert probe.covering_dt < probe.admissible_dt()
-    dt = 0.5 * (probe.covering_dt + probe.admissible_dt())
-    calls = _count_cfl_checks(monkeypatch)
     for state in (states[0], states):
-        s = GranularSolver(dw03, state, dt=dt)
-        assert not s.cfl_proven
-        calls.clear()
+        with pytest.raises(CflError, match="admissible"):
+            GranularSolver(dw03, state, dt=probe.covering_dt * (1 + 1e-8))
+        s = GranularSolver(dw03, state, dt=probe.covering_dt)
         for _ in range(50):
             s.step()
-        assert len(calls) == 50
         assert all(abs(r.mass() - 1.0) <= 1e-12 for r in s.states)
 
 # ---- kinetic solver ------------------------------------------------------------
@@ -631,18 +625,27 @@ def test_covering_dt_covers_every_mean(pot, theta, sigma2, x_lo, x_hi, n):
     model = mk.standard_model(theta, sigma2, potential=_POTENTIALS[pot])
     s = GranularSolver(model, DensityGrid1D(x_lo, x_hi, n,
                                             np.ones(n)).normalize())
-    assert s.dt <= s.covering_dt and s.cfl_proven
+    assert s.dt == s.covering_dt
+
+    def admissible(w):
+        # largest stable dt at interface weights w (smallest over rows):
+        # the diffusion-drift bound dx^2/(2*s2 + dx*max|drift|), with
+        # dx*max|drift| = s2*max|w|, and the positivity bound
+        # dx^2/(s2 * max outflow weight)
+        out = _cc_fluxes(w)[2]
+        return s.dx ** 2 / (sigma2 * max(2.0 + float(np.max(np.abs(w))),
+                                         float(np.max(out))))
+
     # each row of w is one mean; on a block of rows the admissible dt is
     # the smallest over them
     means = np.linspace(x_lo, x_hi, 1001)[:, None]
     for block in np.array_split(means, 11):
-        adm = s._admissible_for_w(s._interface_w(block))[0]
-        assert s.covering_dt <= adm
+        assert s.covering_dt <= admissible(s._interface_w(block))
     # the bound is sharp over weights |w_i| <= W_i: signs alternating so
     # that w_i = W_i and w_{i-1} = -W_{i-1} reach P(-W_i) + P(-W_{i-1})
     big_w = np.abs(s._w_pot) + abs(s._c_mean) * (x_hi - x_lo)
     signs = (-1.0) ** np.arange(n - 1)
-    sharp = min(s._admissible_for_w(sg * big_w)[0] for sg in (signs, -signs))
+    sharp = min(admissible(sg * big_w) for sg in (signs, -signs))
     assert s.covering_dt == pytest.approx(sharp, rel=1e-12)
 
 
@@ -655,16 +658,12 @@ def test_covering_dt_covers_every_mean(pot, theta, sigma2, x_lo, x_hi, n):
        theta=st.floats(-1.0, 3.0),
        sigma2=st.floats(0.1, 2.0),
        n=st.integers(64, 512),
-       scheme=st.sampled_from(["chang-cooper", "upwind"]),
        mean=st.floats(-1.5, 1.5))
-def test_granular_step_structure_across_models(pot, theta, sigma2, n, scheme,
-                                               mean):
+def test_granular_step_structure_across_models(pot, theta, sigma2, n, mean):
     model = mk.standard_model(theta, sigma2, potential=_POTENTIALS[pot])
-    # 200 steps from a Gaussian: mass and positivity for both schemes; the
-    # free energy is a Lyapunov function of the Chang-Cooper step only
-    # (upwind relaxes to its own steady state, off the discrete Gibbs one)
-    s = GranularSolver(model, gaussian_grid(-4.0, 4.0, n, mean, 0.6),
-                       scheme=scheme)
+    # 200 steps from a Gaussian: mass, positivity and a nonincreasing free
+    # energy
+    s = GranularSolver(model, gaussian_grid(-4.0, 4.0, n, mean, 0.6))
     f = [mk.free_energy(model, s.state)]
     for k in range(1, 201):
         s.step()
@@ -672,8 +671,6 @@ def test_granular_step_structure_across_models(pot, theta, sigma2, n, scheme,
             f.append(mk.free_energy(model, s.state))
     assert abs(s.state.mass() - 1.0) <= 1e-12
     assert s._rho.min() >= 0.0
-    if scheme != "chang-cooper":
-        return
     f = np.array(f)
     assert np.all(np.diff(f) <= 1e-8 * (1.0 + np.abs(f[:-1])))
     # the discrete self-consistent density, where the discrete mean map
