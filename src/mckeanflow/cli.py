@@ -1,6 +1,6 @@
 """Experiment runner.
 
-    mckeanflow <experiment> --config cfg.json --out dir [--threads k] [--verbose]
+    mckeanflow <experiment> --config cfg.json --out dir [--verbose]
     mckeanflow list
 
 Experiments are configured by JSON files validated against strict schemas
@@ -8,9 +8,10 @@ Experiments are configured by JSON files validated against strict schemas
 end of a successful run, plus a manifest.json with the config hash,
 package versions and wall-clock time.  Exit codes: 0 success, 2 config
 or domain validation failure, 3 numerical failure (stability violation,
-NaN), 4 certificate verdict INVALID.  With
-identical configs and seeds, reruns are byte-identical at any --threads
-count except for the manifest's wall-clock entry.
+NaN), 4 certificate verdict INVALID.  With identical configs and seeds,
+reruns are byte-identical except for the manifest's wall-clock entry.
+Every run uses one thread; --threads is accepted for old command lines
+and ignored.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ import os
 import platform
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Annotated, Callable, Literal, Optional
@@ -49,7 +49,6 @@ from .pde import GranularSolver, VfpSolver, granular_run, vfp_run
 
 @dataclass
 class RunContext:
-    threads: int
     verbose: bool
 
     def log(self, msg: str) -> None:
@@ -435,31 +434,24 @@ def run_vfp(cfg: VfpRunCfg, ctx: RunContext):
 
 def run_particles(cfg: ParticlesRunCfg, ctx: RunContext):
     model = cfg.model.build()
+    rho0 = cfg.init.build(model, cfg.grid) if cfg.grid is not None else None
     ref = None
     if cfg.reference == "self-consistent":
-        ref = _self_consistent_reference(model, cfg.grid, cfg.init.mean)
-
-    def one_seed(seed: int):
+        ref = _self_consistent_reference(model, cfg.grid, rho0.mean())
+    outputs = {}
+    finals = {"mean": [], "var": [], "w2_ref": [], "fe_proxy": []}
+    for seed in cfg.seeds:
         if cfg.init.kind == "gaussian":
             ens = ParticleEnsemble.gaussian(
                 cfg.mode, cfg.n_particles, cfg.init.mean, cfg.init.std,
                 seed, sigma2_velocity=model.sigma2)
         else:
-            rho0 = cfg.init.build(model, cfg.grid)
             ens = ParticleEnsemble.from_density(
                 cfg.mode, cfg.n_particles, rho0, seed,
                 sigma2_velocity=model.sigma2)
         log = simulate_particles(ens, model, cfg.dt, cfg.T,
                                  cfg.record_every, reference=ref,
                                  with_proxy=cfg.with_proxy)
-        return seed, log
-
-    with ThreadPoolExecutor(max_workers=ctx.threads) as pool:
-        results = list(pool.map(one_seed, cfg.seeds))
-
-    outputs = {}
-    finals = {"mean": [], "var": [], "w2_ref": [], "fe_proxy": []}
-    for seed, log in results:
         outputs["trajectory_seed%d.csv" % seed] = log.to_csv_text()
         for key in finals:
             finals[key].append(float(log.column(key)[-1]))
@@ -636,15 +628,6 @@ def _write_outputs(out_dir: Path, outputs: dict[str, str]) -> None:
         os.replace(tmp, path)
 
 
-def _resolve_threads(arg: Optional[int]) -> int:
-    if arg is not None:
-        return arg
-    env = os.environ.get("MCKEANFLOW_THREADS")
-    if env:
-        return int(env)
-    return 1
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="mckeanflow",
@@ -653,9 +636,8 @@ def main(argv=None) -> int:
     parser.add_argument("experiment")
     parser.add_argument("--config", help="JSON config path")
     parser.add_argument("--out", help="output directory")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="worker threads (default: MCKEANFLOW_THREADS "
-                             "or 1)")
+    parser.add_argument("--threads", type=int,
+                        help="accepted and ignored; runs use one thread")
     parser.add_argument("--verbose", action="store_true")
     args = parser.parse_args(argv)
 
@@ -682,14 +664,8 @@ def main(argv=None) -> int:
         first = exc.errors()[0]
         loc = ".".join(str(p) for p in first["loc"]) or "<root>"
         return _fail(2, "config invalid at %s: %s" % (loc, first["msg"]))
-    try:
-        threads = _resolve_threads(args.threads)
-    except ValueError:
-        return _fail(2, "MCKEANFLOW_THREADS must be an integer")
-    if threads < 1:
-        return _fail(2, "thread count must be >= 1")
 
-    ctx = RunContext(threads=threads, verbose=args.verbose)
+    ctx = RunContext(verbose=args.verbose)
     started = time.perf_counter()
     try:
         outputs, code = entry.runner(cfg, ctx)

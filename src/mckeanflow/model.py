@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.polynomial import polynomial as P
@@ -103,11 +104,20 @@ class Potential:
     def value(self, x):
         return P.polyval(np.asarray(x, dtype=float), self.coefficients)
 
+    # derivative coefficients, formed once; fields alone set eq and hash
+    @cached_property
+    def _d1(self) -> np.ndarray:
+        return P.polyder(self.coefficients)
+
+    @cached_property
+    def _d2(self) -> np.ndarray:
+        return P.polyder(self.coefficients, 2)
+
     def grad(self, x):
-        return P.polyval(np.asarray(x, dtype=float), P.polyder(self.coefficients))
+        return P.polyval(np.asarray(x, dtype=float), self._d1)
 
     def hess(self, x):
-        return P.polyval(np.asarray(x, dtype=float), P.polyder(self.coefficients, 2))
+        return P.polyval(np.asarray(x, dtype=float), self._d2)
 
     def hess_inf(self, lo: float, hi: float) -> float:
         """Lower bound for inf of V'' on [lo, hi]; either end may be infinite.
@@ -131,7 +141,7 @@ class Potential:
         """
         if not lo < hi:
             raise ModelError("need lo < hi")
-        d2 = P.polyder(self.coefficients, 2)
+        d2 = self._d2
         d3 = P.polyder(d2)
         if not np.any(d3):
             return float(d2[0])  # constant curvature

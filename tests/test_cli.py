@@ -1,9 +1,16 @@
+import contextlib
+import io
 import json
 import os
+import tempfile
 import time
+from datetime import timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mckeanflow.cli import main
 
@@ -239,6 +246,90 @@ def test_step_budget_exit_2(tmp_path, capsys, experiment, payload):
     assert not out_dir.exists()
 
 
+_FLAWS = ("dt <= 0", "dt nan", "reversed bounds", "sigma2 <= 0",
+          "unknown key")
+
+
+@st.composite
+def _small_runs(draw):
+    """(experiment, config, allowed exit codes) for a small CLI run: a
+    16-64 cell grid and at most 2000 steps, sometimes with one bad value,
+    which must exit 2."""
+    experiment = draw(st.sampled_from(("pde-run", "vfp-run",
+                                       "particles-run", "fixed-points")))
+    model = {"theta": draw(st.floats(-0.5, 2.0)),
+             "sigma2": draw(st.floats(0.05, 2.0))}
+    payload = {"model": model}
+    n = draw(st.integers(16, 64))
+    lo, hi = draw(st.floats(-6.0, -2.0)), draw(st.floats(2.0, 6.0))
+    grid = {"x_lo": lo, "x_hi": hi, "n": n}
+    dt = draw(st.floats(1e-4, 2e-2))
+    run = {"dt": dt, "T": dt * draw(st.integers(1, 2000)),
+           "init": {"mean": draw(st.floats(-1.5, 1.5)),
+                    "std": draw(st.floats(0.2, 0.8))}}
+    if draw(st.booleans()):
+        run["reference"] = "self-consistent"
+    if experiment == "pde-run":
+        payload.update(run, grid=grid)
+    elif experiment == "vfp-run":
+        payload.update(run, phase_grid={"x_lo": lo, "x_hi": hi, "n_x": n,
+                                        "v_lo": -4.0, "v_hi": 4.0,
+                                        "n_v": n})
+    elif experiment == "particles-run":
+        payload.update(run, n_particles=draw(st.integers(64, 256)),
+                       seeds=draw(st.lists(st.integers(0, 2 ** 32),
+                                           min_size=1, max_size=2)))
+        if "reference" in run or draw(st.booleans()):
+            payload["grid"] = grid
+    flaw = draw(st.one_of(st.none(), st.sampled_from(_FLAWS)))
+    if flaw is None:
+        return experiment, payload, {0, 2, 3}
+    if flaw == "dt <= 0":
+        payload["dt"] = draw(st.sampled_from((0.0, -dt)))
+    elif flaw == "dt nan":
+        payload["dt"] = float("nan")
+    elif flaw == "reversed bounds":
+        key = "phase_grid" if experiment == "vfp-run" else "grid"
+        payload[key] = dict(payload.get(key, grid), x_lo=hi, x_hi=lo)
+    elif flaw == "sigma2 <= 0":
+        model["sigma2"] = draw(st.sampled_from((0.0, -model["sigma2"])))
+    else:
+        payload["bogus"] = 1
+    return experiment, payload, {2}
+
+
+# coarse grids and tight domains warn about regularized widths and edge mass
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@settings(max_examples=30, deadline=timedelta(seconds=10))
+@given(case=_small_runs())
+# under-resolved x grid: the spectral transport rings and the run stops
+@example(case=("vfp-run", {
+    "model": {"theta": 1.0, "sigma2": 1.0},
+    "phase_grid": {"x_lo": -3.5, "x_hi": 3.5, "n_x": 32,
+                   "v_lo": -4.0, "v_hi": 4.0, "n_v": 32},
+    "init": {"mean": 0.3, "std": 0.5}, "T": 0.5,
+    "reference": "self-consistent"}, {3}))
+def test_small_configs_exit_cleanly(case):
+    experiment, payload, codes = case
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = write_cfg(Path(tmp), payload)
+        out_dir = Path(tmp) / "out"
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main([experiment, "--config", cfg, "--out", str(out_dir)])
+        assert code in codes, err.getvalue()
+        assert out_dir.exists() == (code == 0)
+        failures = [line for line in err.getvalue().splitlines()
+                    if line.startswith("mckeanflow: status=error code=")]
+        if code == 0:
+            assert failures == []
+            assert (out_dir / "manifest.json").exists()
+        else:
+            assert len(failures) == 1
+            assert failures[0].startswith(
+                "mckeanflow: status=error code=%d " % code)
+
+
 def test_particles_run_outputs(tmp_path):
     cfg = write_cfg(tmp_path, {
         "model": {"theta": 1.0, "sigma2": 0.3},
@@ -308,15 +399,26 @@ def test_rerun_byte_identical_across_thread_counts(tmp_path):
                 outs[1] / name).read_bytes()
 
 
-def test_threads_env_fallback(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("MCKEANFLOW_THREADS", "zombie")
-    cfg = write_cfg(tmp_path, {"model": {"theta": 1.0, "sigma2": 0.3}})
-    assert main(["fixed-points", "--config", cfg,
-                 "--out", str(tmp_path / "o")]) == 2
-    assert "MCKEANFLOW_THREADS" in capsys.readouterr().err
-    monkeypatch.setenv("MCKEANFLOW_THREADS", "2")
-    assert main(["fixed-points", "--config", cfg,
-                 "--out", str(tmp_path / "o")]) == 0
+def test_particle_reference_starts_from_initial_density_mean(tmp_path):
+    # the same bump as a mixture and as a gaussian init must relax to the
+    # same reference: a mixture leaves init.mean at its default 0.0, so the
+    # reference search has to start from the initial density's mean
+    base = {"model": {"theta": 1.0, "sigma2": 0.3}, "n_particles": 1024,
+            "seeds": [1, 2], "T": 3.0, "with_proxy": False,
+            "grid": {"x_lo": -4.0, "x_hi": 4.0, "n": 512},
+            "reference": "self-consistent"}
+    w2 = []
+    for tag, init in (("mix", {"kind": "mixture",
+                               "components": [[1.0, 1.0, 0.3]]}),
+                      ("gauss", {"kind": "gaussian", "mean": 1.0,
+                                 "std": 0.3})):
+        cfg = write_cfg(tmp_path, dict(base, init=init), name=tag + ".json")
+        assert main(["particles-run", "--config", cfg,
+                     "--out", str(tmp_path / tag)]) == 0
+        report = json.loads((tmp_path / tag / "report.json").read_text())
+        w2.append(report["median_final"]["w2_ref"])
+    assert w2[1] < 0.05
+    assert abs(w2[0] - w2[1]) <= 0.05
 
 
 def test_rates_report_roundtrip(tmp_path):

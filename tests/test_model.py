@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as P
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,6 +25,22 @@ def test_potential_gradient_matches_finite_differences():
         fd = (p.value(xs + h) - p.value(xs - h)) / (2 * h)
         scale = np.maximum(1.0, np.abs(p.grad(xs)))
         assert np.max(np.abs(p.grad(xs) - fd) / scale) <= 1e-6
+
+
+def test_cached_derivatives_match_polyder_bit_for_bit():
+    xs = np.linspace(-3.0, 3.0, 61)
+    for p in (Potential.double_well(), Potential.quadratic(),
+              Potential.polynomial([0.0, 0.3, -1.0, 0.0, 0.0, 0.0, 0.1]),
+              Potential.multi_well([(0.5, -1.0, 0.5), (0.3, 1.0, 0.8)])):
+        for _ in range(2):  # the first pass fills the cache
+            for x in (0.7, -2.25, xs):
+                for k, fn in ((1, p.grad), (2, p.hess)):
+                    want = P.polyval(x, P.polyder(p.coefficients, k))
+                    assert np.array_equal(fn(x), want)
+                    assert np.shape(fn(x)) == np.shape(want)
+        twin = Potential(p.coefficients, label=p.label)
+        assert p == twin and hash(p) == hash(twin)
+        assert p != Potential(p.coefficients, label="other")
 
 
 def test_hess_inf_refines_to_stable_value():
