@@ -34,9 +34,8 @@ from numpy.polynomial import polynomial as P
 from .analysis import step_count
 from .grid import (DensityGrid1D, GridError, equilibrium_for_mean,
                    free_energy, relative_entropy, wasserstein2)
-from .meanfield import (SelfConsistency1D, _contraction_factor,
-                        contraction_factor, discrete_fixed_mean,
-                        find_fixed_points)
+from .meanfield import (SelfConsistency1D, contraction_factor,
+                        discrete_fixed_mean, find_fixed_points)
 from .model import ModelConfig
 from .pde import EDGE_MASS_TOL, GranularSolver, granular_run
 
@@ -280,7 +279,7 @@ def build_certificate(model: ModelConfig, epsilon: float | None = None,
     big_l, lam, kappa1 = structural_constants(model)
     eta = lsi_eta(model)
     core = CoreConstants(big_l, lam, kappa1, eta)
-    alpha = _contraction_factor(sc, epsilon, m_plus)
+    alpha = contraction_factor(sc, epsilon, m_plus)
     eta_bar = _eta_bar(model, eta, alpha)
     q1 = q_t(model, core, 1.0)
     delta = m_plus - epsilon

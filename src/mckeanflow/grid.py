@@ -1,19 +1,22 @@
 """Cell-averaged densities on truncated grids and measure diagnostics.
 
-A DensityGrid1D stores nonnegative cell averages on [x_lo, x_hi]; all
-integrals below are midpoint sums, which for smooth densities whose tails
-decay inside the domain are accurate far beyond the stated tolerances.
-The 2D phase-space variant stores (x, v) cell averages.
+A DensityGrid1D stores nonnegative cell averages on [x_lo, x_hi]; a
+PhaseGrid2D stores them on an (x, v) rectangle.  All integrals below are
+midpoint sums, which for smooth densities whose tails decay inside the
+domain are accurate far beyond the stated tolerances.
 
-Diagnostics: entropy, relative entropy, Fisher information, free energy,
-quantile-based Wasserstein-2, total variation, and the local equilibrium
-map rho -> Gibbs(V + theta*(x - mean(rho))**2).
+Entropy, relative entropy, Fisher information and total variation take
+either grid: they read the cell measure `da` (dx, or dx*dv) from it, and
+Fisher information differentiates along the last axis (x on a line, v in
+phase space).  The other diagnostics are free energy, quantile-based
+Wasserstein-2, and the local equilibrium map
+rho -> Gibbs(V + theta*(x - mean(rho))**2).
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -44,8 +47,31 @@ def _check_values(values: np.ndarray) -> np.ndarray:
     return values
 
 
+class _Grid:
+    """What both grids share.  Subclasses are dataclasses with a `values`
+    field; they define the cell measure `da` and the spacing `d_last`
+    along the last axis."""
+
+    def same_grid(self, other) -> bool:
+        return type(other) is type(self) and all(
+            getattr(self, f.name) == getattr(other, f.name)
+            for f in fields(self) if f.name != "values")
+
+    def mass(self) -> float:
+        return float(self.values.sum() * self.da)
+
+    def normalize(self):
+        m = self.values.sum() * self.da
+        if not m > 0:
+            raise GridError("cannot normalize a zero density")
+        return replace(self, values=self.values / m)
+
+    def is_normalized(self) -> bool:
+        return abs(self.mass() - 1.0) <= 1e-8
+
+
 @dataclass
-class DensityGrid1D:
+class DensityGrid1D(_Grid):
     """Probability density on [x_lo, x_hi] stored as n cell averages."""
 
     x_lo: float
@@ -70,6 +96,8 @@ class DensityGrid1D:
     def dx(self) -> float:
         return (self.x_hi - self.x_lo) / self.n
 
+    da = d_last = dx
+
     @property
     def centers(self) -> np.ndarray:
         return self.x_lo + (np.arange(self.n) + 0.5) * self.dx
@@ -78,23 +106,7 @@ class DensityGrid1D:
     def edges(self) -> np.ndarray:
         return self.x_lo + np.arange(self.n + 1) * self.dx
 
-    def same_grid(self, other: "DensityGrid1D") -> bool:
-        return (self.n == other.n and self.x_lo == other.x_lo
-                and self.x_hi == other.x_hi)
-
     # ---- moments ---------------------------------------------------------
-
-    def mass(self) -> float:
-        return float(self.values.sum() * self.dx)
-
-    def normalize(self) -> "DensityGrid1D":
-        m = self.values.sum() * self.dx
-        if not m > 0:
-            raise GridError("cannot normalize a zero density")
-        return DensityGrid1D(self.x_lo, self.x_hi, self.n, self.values / m)
-
-    def is_normalized(self) -> bool:
-        return abs(self.mass() - 1.0) <= 1e-8
 
     def mean(self) -> float:
         return float(np.dot(self.centers, self.values) * self.dx)
@@ -144,48 +156,46 @@ class DensityGrid1D:
 
 # ---- scalar diagnostics ----------------------------------------------------
 
-def entropy(rho: DensityGrid1D) -> float:
+def entropy(rho: DensityGrid1D | PhaseGrid2D) -> float:
     """int rho*log(rho), with the convention 0*log 0 = 0."""
     v = rho.values
     pos = v > 0
-    return float(np.dot(v[pos], np.log(v[pos])) * rho.dx)
+    return float(np.dot(v[pos], np.log(v[pos])) * rho.da)
 
 
-def relative_entropy(nu: DensityGrid1D, mu: DensityGrid1D) -> float:
-    """KL divergence of nu from mu on a shared grid; +inf if not
-    absolutely continuous at the cell level."""
+def relative_entropy(nu: DensityGrid1D | PhaseGrid2D,
+                     mu: DensityGrid1D | PhaseGrid2D) -> float:
+    """KL divergence of nu from mu on a shared grid, summed over the cells
+    where nu exceeds the positivity floor; +inf if mu falls below the
+    floor on one of them."""
     if not nu.same_grid(mu):
         raise GridError("relative_entropy needs a shared grid")
-    pos = nu.values > 0
+    pos = nu.values > _FLOOR
     if np.any(mu.values[pos] < _FLOOR):
         return float("inf")
     a = nu.values[pos]
-    return float(np.dot(a, np.log(a) - np.log(mu.values[pos])) * nu.dx)
+    return float(np.dot(a, np.log(a) - np.log(mu.values[pos])) * nu.da)
 
 
-def fisher_information(nu: DensityGrid1D, mu: DensityGrid1D) -> float:
-    """int |d/dx log(nu/mu)|**2 dnu by central differences.
+def fisher_information(nu: DensityGrid1D | PhaseGrid2D,
+                       mu: DensityGrid1D | PhaseGrid2D) -> float:
+    """int |d log(nu/mu)|**2 dnu along the last axis (x on a line, v in
+    phase space), by central differences at interior cells.
 
-    Cells (or stencil neighbors) below the positivity floor are excluded
-    from the sum; they carry no nu-mass worth counting and their log
-    ratios are meaningless.
+    Cells where nu or mu is at or below the positivity floor, and cells
+    whose stencil reaches one, are excluded from the sum; they carry no
+    nu-mass worth counting and their log ratios are meaningless.
     """
     if not nu.same_grid(mu):
         raise GridError("fisher_information needs a shared grid")
-    if nu.values.min() < 0 or mu.values.min() < 0:
-        raise GridError("fisher_information needs nonnegative densities")
-    dx = nu.dx
-    ok = (nu.values >= _FLOOR) & (mu.values >= _FLOOR)
-    r = np.log(np.maximum(nu.values, _FLOOR)) - np.log(np.maximum(mu.values, _FLOOR))
-    d = np.empty_like(r)
-    d[1:-1] = (r[2:] - r[:-2]) / (2.0 * dx)
-    d[0] = (r[1] - r[0]) / dx
-    d[-1] = (r[-1] - r[-2]) / dx
-    use = ok.copy()
-    use[1:-1] &= ok[2:] & ok[:-2]
-    use[0] &= ok[1]
-    use[-1] &= ok[-2]
-    return float(np.dot(d[use] ** 2, nu.values[use]) * dx)
+    a, b = nu.values, mu.values
+    ok = (a > _FLOOR) & (b > _FLOOR)
+    h = np.zeros_like(a)
+    h[ok] = np.log(a[ok]) - np.log(b[ok])
+    valid = ok[..., 1:-1] & ok[..., :-2] & ok[..., 2:]
+    dh = (h[..., 2:] - h[..., :-2]) / (2.0 * nu.d_last)
+    return float(np.sum(np.where(valid, a[..., 1:-1] * dh ** 2, 0.0))
+                 * nu.da)
 
 
 def local_equilibrium(model: ModelConfig, rho: DensityGrid1D) -> DensityGrid1D:
@@ -231,10 +241,11 @@ def effective_potential_on_grid(model: ModelConfig, rho: DensityGrid1D,
     return float(-model.sigma2 * (peak + np.log(np.sum(np.exp(logu - peak)) * rho.dx)))
 
 
-def total_variation(nu: DensityGrid1D, mu: DensityGrid1D) -> float:
+def total_variation(nu: DensityGrid1D | PhaseGrid2D,
+                    mu: DensityGrid1D | PhaseGrid2D) -> float:
     if not nu.same_grid(mu):
         raise GridError("total_variation needs a shared grid")
-    return float(0.5 * np.abs(nu.values - mu.values).sum() * nu.dx)
+    return float(0.5 * np.abs(nu.values - mu.values).sum() * nu.da)
 
 
 # ---- quantiles and Wasserstein-2 -------------------------------------------
@@ -272,7 +283,7 @@ def wasserstein2(nu: DensityGrid1D, mu: DensityGrid1D) -> float:
 # ---- phase space ------------------------------------------------------------
 
 @dataclass
-class PhaseGrid2D:
+class PhaseGrid2D(_Grid):
     """Probability density on an (x, v) grid, n_x * n_v cell averages."""
 
     x_lo: float
@@ -306,6 +317,8 @@ class PhaseGrid2D:
     def da(self) -> float:
         return self.dx * self.dv
 
+    d_last = dv
+
     @property
     def x_centers(self) -> np.ndarray:
         return self.x_lo + (np.arange(self.n_x) + 0.5) * self.dx
@@ -313,16 +326,6 @@ class PhaseGrid2D:
     @property
     def v_centers(self) -> np.ndarray:
         return self.v_lo + (np.arange(self.n_v) + 0.5) * self.dv
-
-    def mass(self) -> float:
-        return float(self.values.sum() * self.da)
-
-    def normalize(self) -> "PhaseGrid2D":
-        m = self.values.sum() * self.da
-        if not m > 0:
-            raise GridError("cannot normalize a zero density")
-        return PhaseGrid2D(self.x_lo, self.x_hi, self.n_x,
-                           self.v_lo, self.v_hi, self.n_v, self.values / m)
 
     def x_marginal(self) -> DensityGrid1D:
         return DensityGrid1D(self.x_lo, self.x_hi, self.n_x,
@@ -333,12 +336,6 @@ class PhaseGrid2D:
                              self.values.sum(axis=0) * self.dx)
 
 
-def entropy_2d(rho: PhaseGrid2D) -> float:
-    v = rho.values
-    pos = v > 0
-    return float(np.dot(v[pos], np.log(v[pos])) * rho.da)
-
-
 def maxwellian(sigma2: float, v_lo: float, v_hi: float, n_v: int) -> DensityGrid1D:
     return DensityGrid1D.from_function(
         lambda v: np.exp(-0.5 * v * v / sigma2), v_lo, v_hi, n_v)
@@ -346,11 +343,11 @@ def maxwellian(sigma2: float, v_lo: float, v_hi: float, n_v: int) -> DensityGrid
 
 def kinetic_free_energy(model: ModelConfig, rho: PhaseGrid2D) -> float:
     """sigma2*entropy + mean-field energy of the x-marginal + int v**2/2."""
-    if abs(rho.mass() - 1.0) > 1e-8:
+    if not rho.is_normalized():
         raise GridError("density must be normalized")
     vs = rho.v_centers
     kinetic = float(np.dot(rho.values.sum(axis=0) * rho.dx, 0.5 * vs * vs) * rho.dv)
-    return (model.sigma2 * entropy_2d(rho)
+    return (model.sigma2 * entropy(rho)
             + mean_field_energy(model, rho.x_marginal()) + kinetic)
 
 

@@ -214,23 +214,18 @@ def critical_sigma2(model: ModelConfig, bracket=(0.3, 1.0)) -> float:
     return float(brentq(slope_gap, lo, hi, xtol=1e-8))
 
 
-def contraction_factor(sc: SelfConsistency1D, epsilon: float) -> float:
+def contraction_factor(sc: SelfConsistency1D, epsilon: float,
+                       m_plus: float | None = None) -> float:
     """sup over m >= epsilon of (f(m) - m_plus)/(m - m_plus), < 1 below
     the critical temperature.
 
-    The sup lives on a bounded window.  For m > m_plus the ratio is the
-    average of f' over [m_plus, m]; f' is decreasing out there (verified
-    on a geometric tail grid), so those averages decrease in m and the
-    window value m -> m_plus+ (namely f'(m_plus)) dominates the tail.
-    A dense grid on [epsilon, m_far] covers the rest.
+    m_plus is the outer fixed point; None finds it, a caller that already
+    has it passes it.  The sup lives on a bounded window.  For m > m_plus
+    the ratio is the average of f' over [m_plus, m]; f' is decreasing out
+    there (verified on a geometric tail grid), so those averages decrease
+    in m and the window value m -> m_plus+ (namely f'(m_plus)) dominates
+    the tail.  A dense grid on [epsilon, m_far] covers the rest.
     """
-    return _contraction_factor(sc, epsilon)
-
-
-def _contraction_factor(sc: SelfConsistency1D, epsilon: float,
-                        m_plus: float | None = None) -> float:
-    """`contraction_factor`, taking the outer fixed point m_plus from the
-    caller when it already has it."""
     if epsilon <= 0:
         raise MeanFieldError("epsilon must be positive")
     if sc.mean_map_derivative(0.0) <= 1.0:

@@ -32,7 +32,7 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from .analysis import TrajectoryLog, sampled_run
-from .grid import (DensityGrid1D, PhaseGrid2D, _FLOOR, fisher_information,
+from .grid import (DensityGrid1D, PhaseGrid2D, fisher_information,
                    free_energy, kinetic_free_energy, local_equilibrium,
                    local_equilibrium_kinetic, relative_entropy,
                    total_variation, wasserstein2)
@@ -223,18 +223,33 @@ class GranularSolver:
         self.steps += 1
 
 
-# Sampled diagnostics of both solvers: F is the free energy (kinetic free
-# energy for the phase-space solver), H_loc = H(rho | Gamma(rho)), Fisher =
-# I(rho | Gamma(rho)) (velocity direction only in the kinetic case), W2_ref
-# and TV_ref compare against an optional fixed reference (nan if absent).
+# Sampled diagnostics of both solvers: mean and var are the x-marginal's,
+# F is the free energy (kinetic free energy for the phase-space solver),
+# H_loc = H(rho | Gamma(rho)), Fisher = I(rho | Gamma(rho)) along the last
+# axis (x on a line, v in phase space), W2_ref and TV_ref compare the
+# x-marginal against an optional fixed reference (nan if absent).
 _COLUMNS = ("t", "mean", "var", "F", "H_loc", "Fisher", "W2_ref", "TV_ref")
 
 
-def _check_monotone(f_new: float, f_prev: float, tol_scale: float,
-                    t: float) -> None:
-    if f_new > f_prev + tol_scale * (1.0 + abs(f_new)):
-        raise PdeError("free energy increased from %.12g to %.12g at "
-                       "t=%.6g" % (f_prev, f_new, t))
+def _log_row(log: TrajectoryLog, t: float, rho: DensityGrid1D | PhaseGrid2D,
+             gamma: DensityGrid1D | PhaseGrid2D, f_val: float,
+             x_marginal: DensityGrid1D, reference: DensityGrid1D | None,
+             tol: float) -> None:
+    """Append one `_COLUMNS` row for state rho with local equilibrium gamma
+    and free energy f_val, after checking that F rose by at most
+    tol * (1 + |F|) since the previous row."""
+    if log.rows:
+        f_prev = log.rows[-1][3]
+        if f_val > f_prev + tol * (1.0 + abs(f_val)):
+            raise PdeError("free energy increased from %.12g to %.12g at "
+                           "t=%.6g" % (f_prev, f_val, t))
+    w2 = tv = np.nan
+    if reference is not None:
+        w2 = wasserstein2(x_marginal, reference)
+        tv = total_variation(x_marginal, reference)
+    log.append(t, x_marginal.mean(), x_marginal.variance(), f_val,
+               relative_entropy(rho, gamma), fisher_information(rho, gamma),
+               w2, tv)
 
 
 def granular_run(solver: GranularSolver, T: float,
@@ -254,17 +269,9 @@ def granular_run(solver: GranularSolver, T: float,
 
     def sample() -> None:
         for log, rho in zip(logs, solver.states):
-            gamma = local_equilibrium(solver.model, rho)
-            f_val = free_energy(solver.model, rho)
-            if log.rows:
-                _check_monotone(f_val, log.rows[-1][3], 1e-8, solver.time)
-            w2 = tv = np.nan
-            if reference is not None:
-                w2 = wasserstein2(rho, reference)
-                tv = total_variation(rho, reference)
-            log.append(solver.time, rho.mean(), rho.variance(), f_val,
-                       relative_entropy(rho, gamma),
-                       fisher_information(rho, gamma), w2, tv)
+            _log_row(log, solver.time, rho,
+                     local_equilibrium(solver.model, rho),
+                     free_energy(solver.model, rho), rho, reference, 1e-8)
 
     sampled_run(solver.step, sample, solver.dt, T, record_every)
     return logs if solver._stacked else logs[0]
@@ -286,13 +293,13 @@ class VfpSolver:
     error remains, so the kinetic free energy decays cleanly.
 
     dt=None picks half the smaller of dx/max|v| and dv/max|force| over all
-    means in the domain, an accuracy choice; `step` enforces only the
-    transport bound dt <= dx/max|v|, with `CflError`.
+    means in the domain, an accuracy choice; the constructor enforces only
+    the transport bound dt <= dx/max|v|, with `CflError`.
     """
 
     def __init__(self, model: ModelConfig, state: PhaseGrid2D,
                  dt: float | None = None):
-        if not abs(state.mass() - 1.0) <= 1e-8:
+        if not state.is_normalized():
             raise PdeError("initial density must be normalized")
         self.model = model
         self.grid = state
@@ -313,15 +320,18 @@ class VfpSolver:
         self.time = 0.0
         self.steps = 0
         vmax = float(np.max(np.abs(self._v)))
-        self._dt_transport = state.dx / vmax if vmax > 0 else np.inf
+        dt_transport = state.dx / vmax if vmax > 0 else np.inf
         if dt is None:
             fmax = float(np.max(np.abs(self._vp))) + 2.0 * abs(
                 model.theta) * (state.x_hi - state.x_lo)
-            dt = 0.5 * min(self._dt_transport,
+            dt = 0.5 * min(dt_transport,
                            state.dv / fmax if fmax > 0 else np.inf)
         self.dt = float(dt)
         if self.dt <= 0:
             raise PdeError("dt must be positive")
+        if self.dt > dt_transport * (1.0 + 1e-9):
+            raise CflError("dt=%.6g violates transport CFL; admissible "
+                           "dt <= %.6g" % (self.dt, dt_transport))
         # phase factors advecting each v row by v * dt/2 in x
         kx = 2.0 * np.pi * np.fft.rfftfreq(self.grid.n_x, d=self.grid.dx)
         self._shift_half = np.exp(-1j * np.outer(kx, self._v)
@@ -365,9 +375,6 @@ class VfpSolver:
         self._rho = rho
 
     def step(self) -> None:
-        if self.dt > self._dt_transport * (1.0 + 1e-9):
-            raise CflError("dt=%.6g violates transport CFL; admissible "
-                           "dt <= %.6g" % (self.dt, self._dt_transport))
         force = self._vp + 2.0 * self.model.theta * (self._x - self.x_mean())
         self._transport_x_half()
         self._cc_v_solve(force)
@@ -400,34 +407,6 @@ class VfpSolver:
         return float(np.max(np.abs(flux)) / np.max(g))
 
 
-def _relative_entropy_2d(mu: PhaseGrid2D, nu: PhaseGrid2D) -> float:
-    a = mu.values
-    b = nu.values
-    pos = a > _FLOOR
-    if np.any(pos & (b < _FLOOR)):
-        return np.inf
-    am = a[pos]
-    return float(np.sum(am * (np.log(am) - np.log(b[pos]))) * mu.da)
-
-
-def _fisher_v(mu: PhaseGrid2D, nu: PhaseGrid2D) -> float:
-    """Velocity-direction Fisher information of mu relative to nu.
-
-    Central differences of log(mu/nu) along v; cells whose stencil dips
-    below the density floor are excluded (they sit in negligible tails).
-    The two edge columns are excluded for the same reason.
-    """
-    a = mu.values
-    b = nu.values
-    ok = (a > _FLOOR) & (b > _FLOOR)
-    h = np.zeros_like(a)
-    h[ok] = np.log(a[ok]) - np.log(b[ok])
-    valid = ok[:, 1:-1] & ok[:, :-2] & ok[:, 2:]
-    dh = (h[:, 2:] - h[:, :-2]) / (2.0 * mu.dv)
-    core = a[:, 1:-1]
-    return float(np.sum(np.where(valid, core * dh ** 2, 0.0)) * mu.da)
-
-
 def vfp_run(solver: VfpSolver, T: float, record_every: int | None = None,
             reference: DensityGrid1D | None = None) -> TrajectoryLog:
     """Advance the kinetic solver to T with periodic sampling.
@@ -443,18 +422,10 @@ def vfp_run(solver: VfpSolver, T: float, record_every: int | None = None,
 
     def sample() -> None:
         state = solver.state
-        gamma = local_equilibrium_kinetic(solver.model, state)
-        f_val = kinetic_free_energy(solver.model, state)
-        if log.rows:
-            _check_monotone(f_val, log.rows[-1][3], 1e-6, solver.time)
-        xm = state.x_marginal()
-        w2 = tv = np.nan
-        if reference is not None:
-            w2 = wasserstein2(xm, reference)
-            tv = total_variation(xm, reference)
-        log.append(solver.time, xm.mean(), xm.variance(), f_val,
-                   _relative_entropy_2d(state, gamma),
-                   _fisher_v(state, gamma), w2, tv)
+        _log_row(log, solver.time, state,
+                 local_equilibrium_kinetic(solver.model, state),
+                 kinetic_free_energy(solver.model, state),
+                 state.x_marginal(), reference, 1e-6)
 
     sampled_run(solver.step, sample, solver.dt, T, record_every)
     return log

@@ -339,6 +339,50 @@ def test_local_equilibrium_kinetic_structure(dw03):
     assert np.max(np.abs(a - b)) <= 1e-14
 
 
+def _product_with_gaussian_v(n, s2_v):
+    """A Gaussian x-profile (mean 0.4, std 0.6) times N(0, s2_v) in v on
+    [-3.5, 3.5] x [-10, 10]; the v range holds 8 standard deviations."""
+    gx = DensityGrid1D.gaussian(-3.5, 3.5, n, 0.4, 0.6)
+    v = DensityGrid1D(-10.0, 10.0, n, np.ones(n)).centers
+    vals = np.outer(gx.values, np.exp(-0.5 * v * v / s2_v))
+    return PhaseGrid2D(-3.5, 3.5, n, -10.0, 10.0, n, vals).normalize()
+
+
+@pytest.mark.parametrize("n", [64, 128])
+@pytest.mark.parametrize("r", [0.5, 1.5])
+@pytest.mark.parametrize("sigma2", [0.3, 1.0])
+def test_kinetic_diagnostics_on_gaussian_product(sigma2, r, n):
+    # rho = gx (x) N(0, s2) against Gamma = Gamma_x (x) N(0, sigma2), with
+    # s2 = r*sigma2: d/dv log(rho/Gamma) = v*(1/sigma2 - 1/s2), so the
+    # Fisher information along v is (1/sigma2 - 1/s2)**2 * s2, and the
+    # relative entropy splits into the x part and the Gaussian KL
+    from mckeanflow.grid import local_equilibrium_kinetic
+    model = mk.standard_model(1.0, sigma2)
+    s2 = r * sigma2
+    rho = _product_with_gaussian_v(n, s2)
+    gam = local_equilibrium_kinetic(model, rho)
+    assert mk.fisher_information(rho, gam) == pytest.approx(
+        (1.0 / sigma2 - 1.0 / s2) ** 2 * s2, rel=1e-9)
+    xm = rho.x_marginal()
+    h_x = mk.relative_entropy(xm, mk.local_equilibrium(model, xm))
+    assert mk.relative_entropy(rho, gam) == pytest.approx(
+        h_x + 0.5 * (r - 1.0 - np.log(r)), rel=1e-6)
+    assert mk.fisher_information(gam, gam) == 0.0
+    assert mk.relative_entropy(gam, gam) == 0.0
+
+
+def test_phase_space_diagnostics_need_a_shared_grid():
+    rho = _product_with_gaussian_v(64, 0.3)
+    others = (PhaseGrid2D(-3.5, 3.5, 64, -9.0, 10.0, 64, rho.values),
+              PhaseGrid2D(-3.5, 3.0, 64, -10.0, 10.0, 64, rho.values),
+              rho.x_marginal())
+    for other in others:
+        for fn in (mk.relative_entropy, mk.fisher_information,
+                   mk.total_variation):
+            with pytest.raises(GridError, match="shared grid"):
+                fn(rho, other)
+
+
 # ---- serialization -----------------------------------------------------------
 
 
