@@ -7,11 +7,11 @@ Experiments are configured by JSON files validated against strict schemas
 (unknown keys are rejected).  All outputs are written atomically at the
 end of a successful run, plus a manifest.json with the config hash,
 package versions and wall-clock time.  Exit codes: 0 success, 2 config
-or domain validation failure, 3 numerical failure (stability violation,
-NaN), 4 certificate verdict INVALID.  With identical configs and seeds,
-reruns are byte-identical except for the manifest's wall-clock entry.
-Every run uses one thread; --threads is accepted for old command lines
-and ignored.
+or domain validation failure, 3 numerical failure (dt above the solver's
+bound, lost positivity or mass), 4 certificate verdict INVALID.  With
+identical configs and seeds, reruns are byte-identical except for the
+manifest's wall-clock entry.  Every run uses one thread; --threads is
+accepted for old command lines and ignored.
 """
 
 from __future__ import annotations
@@ -33,7 +33,8 @@ import pydantic
 from pydantic import BaseModel, ConfigDict, Field, model_validator
 
 from . import __version__
-from .analysis import detect_sign_change, fit_exponential, fit_power
+from .analysis import (detect_sign_change, fit_exponential, fit_power,
+                       step_count)
 from .certificates import CertificateError, build_certificate
 from .grid import (DensityGrid1D, PhaseGrid2D, density_csv_text,
                    density_from_csv, equilibrium_for_mean, maxwellian,
@@ -373,7 +374,9 @@ def run_pde(cfg: PdeRunCfg, ctx: RunContext):
     if cfg.reference == "self-consistent":
         ref = _self_consistent_reference(model, cfg.grid, rho0.mean())
     solver = GranularSolver(model, rho0, dt=cfg.dt)
-    ctx.log("dt=%.6g, %d cells" % (solver.dt, solver.n))
+    ctx.log("dt=%.6g, max_dt=%.6g, %d steps, %d cells"
+            % (solver.dt, solver.max_dt, step_count(cfg.T, solver.dt),
+               solver.n))
     log = granular_run(solver, cfg.T, cfg.record_every, reference=ref)
     report = {
         "final_time": solver.time,
@@ -484,7 +487,9 @@ def run_counterexample(cfg: CounterexampleCfg, ctx: RunContext):
         cfg.grid.x_lo, cfg.grid.x_hi, cfg.grid.n,
         [(1.0 - cfg.epsilon, -1.0, cfg.s0), (cfg.epsilon, far, cfg.s0)])
     solver = GranularSolver(model, rho0, dt=cfg.dt)
-    ctx.log("dt=%.6g, initial mean %.6g" % (solver.dt, rho0.mean()))
+    ctx.log("dt=%.6g, max_dt=%.6g, %d steps, initial mean %.6g"
+            % (solver.dt, solver.max_dt, step_count(cfg.T, solver.dt),
+               rho0.mean()))
     log = granular_run(solver, cfg.T, cfg.record_every)
     t_cross = detect_sign_change(log.t, log.column("mean"))
     report = {

@@ -8,16 +8,17 @@ and its kinetic counterpart on (x, v):
 
     d/dt rho + v d/dx rho = d/dv ( sigma2 * d/dv rho + (v + E'(x)) rho ).
 
-Both solvers share one exponential-fitting flux (Chang-Cooper weights):
-with frozen mean the discretized Gibbs density is exactly stationary,
-every cell stays nonnegative, and no-flux boundaries conserve mass to
-machine precision.  The overdamped step is explicit; its one dt rule, a
-bound that keeps the step positive for every mean in the domain, is
-checked when the solver is built.  The kinetic solver is a Strang
-splitting: half x-transport, then force, friction and diffusion in v as
-one implicit solve, then the other half x-transport; each sub-step is
-conservative.  Its default dt is an accuracy choice; the only bound it
-enforces is the transport bound dt <= dx/max|v|.
+Both solvers share one exponential-fitting flux (Chang-Cooper weights)
+and one backward-Euler solve of it (`_cc_solve`): with frozen mean the
+discretized Gibbs density is exactly stationary, every cell stays
+nonnegative for any dt, and no-flux boundaries conserve mass to machine
+precision.  The overdamped step is that solve along x; its one dt rule is
+an accuracy bound, checked when the solver is built.  The kinetic solver
+is a Strang splitting: half x-transport, then force, friction and
+diffusion in v as the same solve along v, then the other half
+x-transport; each sub-step is conservative.  Its default dt is an
+accuracy choice; the only bound it enforces is the transport bound
+dt <= dx/max|v|.
 
 The mean-field coupling is explicit: every step freezes m(rho) at its
 pre-step value, so each step is linear.
@@ -29,7 +30,7 @@ import warnings
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv
 
 from .analysis import TrajectoryLog, sampled_run
 from .grid import (DensityGrid1D, PhaseGrid2D, fisher_information,
@@ -44,31 +45,11 @@ class PdeError(ArithmeticError):
 
 
 class CflError(PdeError):
-    """Time step exceeds the stability bound."""
+    """Time step exceeds the solver's bound."""
 
 
 # boundary-cell mass past which the domain cuts off part of the density
 EDGE_MASS_TOL = 1e-10
-
-
-def _cc_weights(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Chang-Cooper weights a = P(-w) and b = P(w) for interface weights w,
-    with P(w) = w / (e^w - 1) and P(0) = 1."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        b = w / np.expm1(w)
-    small = np.abs(w) < 1e-8
-    if small.any():
-        b[small] = 1.0 - 0.5 * w[small]
-    return b + w, b
-
-
-def _outflow(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """out_i = a_i + b_{i-1}: each cell's total outflow weight under no-flux
-    ends."""
-    out = np.zeros(a.shape[:-1] + (a.shape[-1] + 1,))
-    out[..., :-1] += a
-    out[..., 1:] += b
-    return out
 
 
 def _cc_fluxes(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -80,12 +61,47 @@ def _cc_fluxes(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     e^{w_i}.  out_i = a_i + b_{i-1} is cell i's total outflow weight under
     no-flux ends.
     """
-    a, b = _cc_weights(w)
-    return a, b, _outflow(a, b)
+    with np.errstate(over="ignore", invalid="ignore"):
+        b = w / np.expm1(w)
+    small = np.abs(w) < 1e-8
+    if small.any():
+        b[small] = 1.0 - 0.5 * w[small]
+    a = b + w
+    out = np.zeros(a.shape[:-1] + (a.shape[-1] + 1,))
+    out[..., :-1] += a
+    out[..., 1:] += b
+    return a, b, out
+
+
+def _cc_solve(rho: np.ndarray, w: np.ndarray, kk: float) -> np.ndarray:
+    """One backward-Euler step of the Chang-Cooper operator along the last
+    axis: solve (1 + kk*out_i) r_i - kk*a_{i-1} r_{i-1} - kk*b_i r_{i+1} =
+    rho_i for r, with interface weights w (one entry fewer than rho along
+    that axis) and kk = sigma2*dt/h^2.
+
+    All rows form one tridiagonal system whose entries across row ends are
+    zero, solved by one LAPACK dgtsv call.  Each column of the matrix sums
+    to 1 and is diagonally dominant, so elimination never pivots: rows stay
+    independent bit for bit, and for every kk the step keeps mass, keeps
+    every cell nonnegative and leaves the densities with cell ratios
+    e^{w_i} fixed.
+    """
+    a, b, out = _cc_fluxes(w)
+    upper = np.zeros(rho.shape)
+    upper[..., 1:] = -kk * b         # gain from the cell above
+    lower = np.zeros(rho.shape)
+    lower[..., :-1] = -kk * a        # gain from the cell below
+    *_, new, info = dgtsv(lower.ravel()[:-1], (1.0 + kk * out).ravel(),
+                          upper.ravel()[1:], rho.ravel())
+    if info:
+        raise PdeError("singular Chang-Cooper system (info=%d)" % info)
+    return new.reshape(rho.shape)
 
 
 class GranularSolver:
-    """Explicit finite-volume integrator for the overdamped equation.
+    """Linearly implicit finite-volume integrator for the overdamped
+    equation: each step freezes the mean and takes one backward-Euler step
+    of the Chang-Cooper operator (`_cc_solve`).
 
     Parameters
     ----------
@@ -98,17 +114,14 @@ class GranularSolver:
         steps on the single-run layout, bit for bit.  `state` and `mean()`
         serve single runs; `states` serves both.
     dt : float or None
-        Time step.  None picks `covering_dt`; a larger dt raises
-        `CflError`.
+        Time step.  None picks `max_dt`; a larger dt raises `CflError`.
 
-    A mean m in [x_lo, x_hi] gives interface weights |w_i| <= W_i =
-    |w_pot,i| + |c_mean|*(x_hi - x_lo).  `covering_dt` is a dt admissible
-    for every such mean: the diffusion-drift bound is monotone in max|w|,
-    and since P(w) = w/(e^w - 1) is decreasing, every outflow weight
-    P(-w_i) + P(w_{i-1}) is at most P(-W_i) + P(-W_{i-1}).  So `step`
-    checks only that each mean lies in [x_lo, x_hi] (a mean divides by
-    the initial mass, which may drift within its tolerance), and raises
-    `PdeError` if one does not.
+    The step keeps mass and positivity for every dt and every mean, so dt
+    is bounded for accuracy only: `max_dt` = 8*dx^2/(sigma2*(2 + max W_i)),
+    eight times the explicit diffusion-drift bound at the interface weight
+    bounds |w_i| <= W_i = |w_pot,i| + |c_mean|*(x_hi - x_lo) that hold for
+    every mean in [x_lo, x_hi].  Eight is the largest power of two at which
+    the mean-decay, mean-ODE and refinement tests keep their tolerances.
     """
 
     def __init__(self, model: ModelConfig,
@@ -150,14 +163,15 @@ class GranularSolver:
         self._mass_tol = 1e-12 * np.maximum(1.0, self._mass0)
         self.time = 0.0
         self.steps = 0
-        self.covering_dt = self._covering_dt()
-        self.dt = float(dt) if dt is not None else self.covering_dt
+        w_max = (float(np.max(np.abs(self._w_pot)))
+                 + abs(self._c_mean) * (self.x_hi - self.x_lo))
+        self.max_dt = 8.0 * self.dx ** 2 / (s2 * (2.0 + w_max))
+        self.dt = float(dt) if dt is not None else self.max_dt
         if not self.dt > 0:
             raise PdeError("dt must be positive")
-        if self.dt > self.covering_dt * (1.0 + 1e-9):
-            raise CflError("dt=%.6g unstable; admissible dt <= %.6g, the "
-                           "covering bound for every mean in the domain"
-                           % (self.dt, self.covering_dt))
+        if self.dt > self.max_dt * (1.0 + 1e-9):
+            raise CflError("dt=%.6g above the accuracy bound; admissible "
+                           "dt <= %.6g" % (self.dt, self.max_dt))
 
     @property
     def state(self) -> DensityGrid1D:
@@ -182,42 +196,18 @@ class GranularSolver:
     def _interface_w(self, m) -> np.ndarray:
         return self._w_pot + self._c_mean * (m - self._x_if)
 
-    def _covering_dt(self) -> float:
-        """Admissible dt for every mean in [x_lo, x_hi]: the diffusion-drift
-        CFL bound dx^2/(2*sigma2 + dx*max|drift|), which reads
-        dx^2/(sigma2*(2 + max|w|)), and the positivity bound, each at the
-        bounds |w_i| <= W_i, P(-w_i) <= P(-W_i) and P(w_i) <= P(-W_i)."""
-        s2 = self.model.sigma2
-        w_bound = (np.abs(self._w_pot)
-                   + abs(self._c_mean) * (self.x_hi - self.x_lo))
-        formula = self.dx ** 2 / (s2 * (2.0 + float(np.max(w_bound))))
-        p = _cc_weights(-w_bound)[1]
-        coeff = float(np.max(_outflow(p, p)))
-        return min(formula, self.dx ** 2 / (s2 * coeff))
-
     def step(self) -> None:
-        rho = self._rho
-        m = self._means()
-        if not self._all((m >= self.x_lo) & (m <= self.x_hi)):
-            raise PdeError("mean left [%.6g, %.6g] at t=%.6g; the covering "
-                           "dt no longer holds"
-                           % (self.x_lo, self.x_hi, self.time))
-        a, b = _cc_weights(self._interface_w(m))
-        # fluxes through all n + 1 faces; the two boundary faces carry none
-        flux = np.zeros(rho.shape[:-1] + (self.n + 1,))
-        flux[..., 1:-1] = (self.model.sigma2 / self.dx) * (
-            a * rho[..., :-1] - b * rho[..., 1:])
-        rho += (self.dt / self.dx) * (flux[..., :-1] - flux[..., 1:])
+        kk = self.model.sigma2 * self.dt / self.dx ** 2
+        rho = _cc_solve(self._rho, self._interface_w(self._means()), kk)
         if rho.min() < 0.0:
-            if np.any(rho.min(axis=-1) < -1e-13 * rho.max(axis=-1)):
-                raise PdeError("positivity lost at t=%.6g" % self.time)
-            np.maximum(rho, 0.0, out=rho)
+            raise PdeError("positivity lost at t=%.6g" % self.time)
         mass = rho.sum(axis=-1, keepdims=rho.ndim == 2) * self.dx
         moved = abs(mass - self._mass_prev)
         if not self._all(moved <= self._mass_tol):
             worst = np.ravel(mass)[np.argmax(np.ravel(moved))]
             raise PdeError("mass drifted to %.17g at t=%.6g"
                            % (worst, self.time))
+        self._rho = rho
         self._mass_prev = mass
         self.time += self.dt
         self.steps += 1
@@ -339,21 +329,13 @@ class VfpSolver:
 
     def _cc_v_solve(self, force: np.ndarray) -> None:
         # implicit Euler for d/dt rho = d/dv ((v + force) rho + sigma2 d/dv rho)
-        # with Chang-Cooper fluxes.  The x columns do not couple, so the
-        # whole grid is one tridiagonal system in row-major order whose
-        # couplings across column ends are zero.
+        # with Chang-Cooper fluxes; the x columns do not couple, so one
+        # `_cc_solve` takes them all.
         s2 = self.model.sigma2
         dv = self.grid.dv
         v_if = 0.5 * (self._v[:-1] + self._v[1:])
         w = -(v_if[None, :] + force[:, None]) * dv / s2     # (n_x, n_v-1)
-        a, b, out = _cc_fluxes(w)
-        kk = s2 * self.dt / dv ** 2
-        band = np.zeros((3,) + self._rho.shape)
-        band[0, :, 1:] = -kk * b         # gain from above
-        band[1] = 1.0 + kk * out
-        band[2, :, :-1] = -kk * a        # gain from below
-        self._rho = solve_banded((1, 1), band.reshape(3, -1),
-                                 self._rho.ravel()).reshape(self._rho.shape)
+        self._rho = _cc_solve(self._rho, w, s2 * self.dt / dv ** 2)
 
     @property
     def state(self) -> PhaseGrid2D:

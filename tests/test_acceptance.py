@@ -75,8 +75,9 @@ def test_c03_dissipation_identity(dw03):
     # relative Fisher information
     started = time.perf_counter()
     rho0 = DensityGrid1D.gaussian(-4.0, 4.0, 2048, 0.05, 0.35)
-    solver = GranularSolver(dw03, rho0)  # dt defaults to the covering bound
-    log = mk.granular_run(solver, T=10.0, record_every=2000)
+    solver = GranularSolver(dw03, rho0)  # dt defaults to max_dt
+    log = mk.granular_run(solver, T=10.0,
+                          record_every=max(1, round(0.0324 / solver.dt)))
     t = log.column("t")
     f = log.column("F")
     fisher = log.column("Fisher")
@@ -101,7 +102,8 @@ def test_c04_subcritical_exponential_rates(dw03, m_plus, rho_star_512,
     ref = equilibrium_for_mean(dw03, m_d, -4.0, 4.0, 512)
     f_star = mk.free_energy(dw03, ref)
     solver = GranularSolver(dw03, rho0)
-    log = mk.granular_run(solver, T=20.0, record_every=2000,
+    log = mk.granular_run(solver, T=20.0,
+                          record_every=max(1, round(0.2044 / solver.dt)),
                           reference=ref)
     t = log.column("t")
     sel = (t >= 2.0) & (t <= 20.0)
@@ -129,7 +131,8 @@ def test_c05_critical_algebraic_decay(crit):
     rho0 = DensityGrid1D.gaussian(-5.0, 5.0, 512, 0.8, 0.6)
     ref = equilibrium_for_mean(model, 0.0, -5.0, 5.0, 512)
     solver = GranularSolver(model, rho0)
-    log = mk.granular_run(solver, T=200.0, record_every=20000,
+    log = mk.granular_run(solver, T=200.0,
+                          record_every=max(1, round(1.36 / solver.dt)),
                           reference=ref)
     t = log.column("t")
     sel = (t >= 10.0) & (t <= 200.0)
@@ -283,7 +286,8 @@ def test_c11_particle_free_energy(dw03, m_plus, rho_star_512):
     # the ensemble mean must track the PDE mean
     rho0 = DensityGrid1D.gaussian(-4.0, 4.0, 512, m_plus + 0.1, std_star)
     solver = GranularSolver(dw03, rho0)
-    pde_log = mk.granular_run(solver, T=T, record_every=1000)
+    pde_log = mk.granular_run(solver, T=T,
+                              record_every=max(1, round(0.1022 / solver.dt)))
     t_p = heavy[0].column("t")
     pde_mean = np.interp(t_p, pde_log.column("t"), pde_log.column("mean"))
     med_mean = np.median(np.stack([heavy[s].column("mean")

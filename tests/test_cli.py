@@ -123,11 +123,11 @@ def test_cfl_failure_exit_3(tmp_path, capsys):
 
 @pytest.mark.parametrize("dt, code", [(None, 0), (6e-4, 3)])
 def test_verbose_reports_cfl_cover(tmp_path, capsys, dt, code):
-    # the default dt is the covering dt 4.4e-4 on this grid; 6e-4 is still
-    # admissible near the initial mean (8.3e-4), but not for every mean in
-    # the domain, so it is refused before any step
+    # the default dt is max_dt 4.1e-4 on this grid, and the verbose line
+    # reports it with the step count; 6e-4 is above it, so it is refused
+    # before any step
     payload = {"model": {"theta": 1.0, "sigma2": 0.3},
-               "grid": {"x_lo": -4.0, "x_hi": 4.0, "n": 128},
+               "grid": {"x_lo": -4.0, "x_hi": 4.0, "n": 1024},
                "init": {"mean": 0.5, "std": 0.4}, "T": 0.01}
     if dt is not None:
         payload["dt"] = dt
@@ -139,10 +139,10 @@ def test_verbose_reports_cfl_cover(tmp_path, capsys, dt, code):
                  "--verbose"]) == code
     err = capsys.readouterr().err
     if code:
-        assert "CflError" in err and "admissible dt <= 0.000435761" in err
+        assert "CflError" in err and "admissible dt <= 0.000410015" in err
         assert not quiet.exists() and not loud.exists()
         return
-    assert "dt=0.000435761, 128 cells" in err
+    assert "dt=0.000410015, max_dt=0.000410015, 25 steps, 1024 cells" in err
     for name in ("trajectory.csv", "final_state.csv", "report.json"):
         assert (quiet / name).read_bytes() == (loud / name).read_bytes()
 

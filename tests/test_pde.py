@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import mckeanflow as mk
@@ -9,7 +9,7 @@ from mckeanflow import (CflError, DensityGrid1D, GranularSolver, PdeError,
 from mckeanflow.analysis import step_count
 from mckeanflow.grid import maxwellian
 from mckeanflow.meanfield import discrete_fixed_mean, equilibrium_for_mean
-from mckeanflow.pde import _cc_fluxes
+from mckeanflow.pde import _cc_fluxes, _cc_solve
 
 
 def gaussian_grid(x_lo, x_hi, n, mean, std):
@@ -21,12 +21,12 @@ def gaussian_grid(x_lo, x_hi, n, mean, std):
 # ---- overdamped solver ---------------------------------------------------------
 
 
-def test_granular_default_dt_is_covering_dt():
+def test_granular_default_dt_is_max_dt():
     model = mk.standard_model(1.0, 0.3)
     rho = gaussian_grid(-4, 4, 128, 0.5, 0.4)
     s = GranularSolver(model, rho)
-    assert s.dt == s.covering_dt
-    assert s.covering_dt <= rho.dx ** 2 / (2 * model.sigma2)
+    assert s.dt == s.max_dt
+    assert s.max_dt <= 8 * rho.dx ** 2 / (2 * model.sigma2)
 
 
 def test_granular_rejects_bad_input():
@@ -123,14 +123,15 @@ def test_granular_refinement_convergence(dw03):
     assert err[256] < err[128] / 2.0
 
 
-def _upwind_run(model, rho, dt, T):
+def _upwind_run(model, rho, dt, n_steps):
     """Reference: explicit upwind drift plus central diffusion with no-flux
-    ends and the mean frozen per step; stable for dt <= covering_dt."""
+    ends and the mean frozen per step; stable for dt <= dx^2/(2*sigma2 +
+    2*dx*max|drift|)."""
     x, dx, s2 = rho.centers, rho.dx, model.sigma2
     x_if = 0.5 * (x[:-1] + x[1:])
     pot_drift = -np.diff(model.potential.value(x)) / dx
-    vals, t = rho.values.copy(), 0.0
-    while t < T:
+    vals = rho.values.copy()
+    for _ in range(n_steps):
         m = np.sum(x * vals) / np.sum(vals)
         drift = pot_drift + 2.0 * model.theta * (m - x_if)
         flux = np.zeros(len(vals) + 1)
@@ -138,7 +139,6 @@ def _upwind_run(model, rho, dt, T):
                       + np.minimum(drift, 0.0) * vals[1:]
                       + (s2 / dx) * (vals[:-1] - vals[1:]))
         vals += (dt / dx) * (flux[:-1] - flux[1:])
-        t += dt
     return DensityGrid1D(rho.x_lo, rho.x_hi, rho.n, vals)
 
 
@@ -147,7 +147,13 @@ def test_granular_upwind_cross_check(dw03):
     s = GranularSolver(dw03, rho)
     while s.time < 0.5:
         s.step()
-    upwind = _upwind_run(dw03, rho, s.dt, 0.5)
+    # the upwind run takes its own stable dt, bounding the drift over every
+    # mean in the domain, and ends at the same time
+    drift = (np.max(np.abs(np.diff(dw03.potential.value(rho.centers))))
+             / rho.dx + 2.0 * abs(dw03.theta) * (rho.x_hi - rho.x_lo))
+    dt_up = rho.dx ** 2 / (2.0 * dw03.sigma2 + 2.0 * rho.dx * drift)
+    n_up = int(np.ceil(s.time / dt_up))
+    upwind = _upwind_run(dw03, rho, s.time / n_up, n_up)
     assert mk.wasserstein2(s.state, upwind) <= 5 * rho.dx
 
 
@@ -156,7 +162,8 @@ def test_granular_run_log(dw03):
     ref = equilibrium_for_mean(dw03, m, -4, 4, 256)
     rho = gaussian_grid(-4, 4, 256, 0.9, 0.31)
     s = GranularSolver(dw03, rho)
-    log = mk.granular_run(s, T=0.5, record_every=200, reference=ref)
+    log = mk.granular_run(s, T=0.5, record_every=max(1, round(0.0423 / s.dt)),
+                          reference=ref)
     t = log.column("t")
     assert t[0] == 0.0 and t[-1] == pytest.approx(0.5, abs=2 * s.dt)
     f = log.column("F")
@@ -205,7 +212,7 @@ def test_granular_one_row_stack_is_bit_identical(dw03):
                            reference=ref)
     assert single.steps == stack.steps == 500
     assert np.array_equal(stack.states[0].values, single.state.values)
-    assert stack.dt == single.dt and stack.covering_dt == single.covering_dt
+    assert stack.dt == single.dt and stack.max_dt == single.max_dt
     assert isinstance(logs, list) and len(logs) == 1
     assert logs[0].to_csv_text() == log.to_csv_text()
 
@@ -272,12 +279,13 @@ def test_granular_run_stack_logs_match_single_runs(dw03):
     m = discrete_fixed_mean(dw03, -4, 4, 256, m0=0.8)
     ref = equilibrium_for_mean(dw03, m, -4, 4, 256)
     states = _stack_states()
-    logs = mk.granular_run(GranularSolver(dw03, states), T=0.5,
-                           record_every=300, reference=ref)
+    stack = GranularSolver(dw03, states)
+    every = max(1, round(0.0635 / stack.dt))
+    logs = mk.granular_run(stack, T=0.5, record_every=every, reference=ref)
     assert len(logs) == len(states)
     for rho, log in zip(states, logs):
         single = mk.granular_run(GranularSolver(dw03, rho), T=0.5,
-                                 record_every=300, reference=ref)
+                                 record_every=every, reference=ref)
         assert log.columns == single.columns
         assert len(log.rows) == len(single.rows) >= 5
         for name, rtol in _STACK_LOG_RTOL.items():
@@ -313,24 +321,25 @@ def test_granular_cfl_check_only_where_unproven(dw03):
     s = GranularSolver(dw03, rho)
     for _ in range(20):
         s.step()
-    # a mean outside [x_lo, x_hi] (faked through the reference mass) is
-    # not covered by the dt bound, so the step refuses it
+    # a mean outside [x_lo, x_hi] (faked through the reference mass) still
+    # steps: the implicit step keeps mass and positivity for every mean
     s._mass0 = 0.1 * s._mass0
     assert s._means() > s.x_hi
-    with pytest.raises(PdeError, match="mean left"):
-        s.step()
-    assert s.steps == 20
+    s.step()
+    assert s.steps == 21
+    assert abs(s._rho.sum() * s.dx - 1.0) <= 1e-12
+    assert s._rho.min() >= 0.0
 
 
-def test_granular_user_dt_above_covering_bound_steps(dw03):
-    # a dt above the covering bound is refused at construction, for a
-    # single run and for a stack; the bound itself is accepted
+def test_granular_user_dt_above_max_dt_refused(dw03):
+    # a dt above max_dt is refused at construction, for a single run and
+    # for a stack; max_dt itself is accepted
     states = _stack_states(128)
     probe = GranularSolver(dw03, states)
     for state in (states[0], states):
         with pytest.raises(CflError, match="admissible"):
-            GranularSolver(dw03, state, dt=probe.covering_dt * (1 + 1e-8))
-        s = GranularSolver(dw03, state, dt=probe.covering_dt)
+            GranularSolver(dw03, state, dt=probe.max_dt * (1 + 1e-8))
+        s = GranularSolver(dw03, state, dt=probe.max_dt)
         for _ in range(50):
             s.step()
         assert all(abs(r.mass() - 1.0) <= 1e-12 for r in s.states)
@@ -614,7 +623,7 @@ def test_cc_flux_vanishes_on_exponential_ratio(w):
 
 
 
-# ---- the covering CFL bound ----------------------------------------------------
+# ---- the implicit granular step ------------------------------------------------
 
 
 @pytest.mark.filterwarnings("ignore:boundary cells")
@@ -622,36 +631,51 @@ def test_cc_flux_vanishes_on_exponential_ratio(w):
 @given(pot=st.integers(0, len(_POTENTIALS) - 1),
        theta=st.floats(-1.0, 3.0),
        sigma2=st.floats(0.05, 2.0),
-       x_lo=st.floats(-8.0, -1.0),
-       x_hi=st.floats(1.0, 8.0),
-       n=st.integers(64, 2048))
-@example(pot=0, theta=0.5, sigma2=0.25, x_lo=-6.0, x_hi=41.0, n=2048)
-def test_covering_dt_covers_every_mean(pot, theta, sigma2, x_lo, x_hi, n):
+       n=st.integers(64, 512),
+       mean=st.floats(-4.0, 4.0),
+       factor=st.sampled_from([1.0, 100.0]))
+def test_granular_step_keeps_structure_at_any_dt(pot, theta, sigma2, n, mean,
+                                                 factor):
+    # at max_dt and far above it, for means across the domain: each step
+    # keeps mass and every cell nonnegative, and the discrete Gibbs density
+    # at a frozen mean (cell ratios e^{w_i}) is a fixed point of the solve
     model = mk.standard_model(theta, sigma2, potential=_POTENTIALS[pot])
-    s = GranularSolver(model, DensityGrid1D(x_lo, x_hi, n,
-                                            np.ones(n)).normalize())
-    assert s.dt == s.covering_dt
+    s = GranularSolver(model, gaussian_grid(-4.0, 4.0, n, mean, 0.3))
+    s.dt = factor * s.max_dt
+    for _ in range(5):
+        s.step()
+        assert abs(s._rho.sum() * s.dx - 1.0) <= 1e-12
+        assert s._rho.min() >= 0.0
+    w = s._interface_w(mean)
+    log_g = np.concatenate([[0.0], np.cumsum(w)])
+    g = np.exp(log_g - log_g.max())
+    g /= g.sum() * s.dx
+    kk = sigma2 * s.dt / s.dx ** 2
+    assert np.max(np.abs(_cc_solve(g, w, kk) - g)) <= 1e-12 * g.max()
 
-    def admissible(w):
-        # largest stable dt at interface weights w (smallest over rows):
-        # the diffusion-drift bound dx^2/(2*s2 + dx*max|drift|), with
-        # dx*max|drift| = s2*max|w|, and the positivity bound
-        # dx^2/(s2 * max outflow weight)
-        out = _cc_fluxes(w)[2]
-        return s.dx ** 2 / (sigma2 * max(2.0 + float(np.max(np.abs(w))),
-                                         float(np.max(out))))
 
-    # each row of w is one mean; on a block of rows the admissible dt is
-    # the smallest over them
-    means = np.linspace(x_lo, x_hi, 1001)[:, None]
-    for block in np.array_split(means, 11):
-        assert s.covering_dt <= admissible(s._interface_w(block))
-    # the bound is sharp over weights |w_i| <= W_i: signs alternating so
-    # that w_i = W_i and w_{i-1} = -W_{i-1} reach P(-W_i) + P(-W_{i-1})
-    big_w = np.abs(s._w_pot) + abs(s._c_mean) * (x_hi - x_lo)
-    signs = (-1.0) ** np.arange(n - 1)
-    sharp = min(admissible(sg * big_w) for sg in (signs, -signs))
-    assert s.covering_dt == pytest.approx(sharp, rel=1e-12)
+def test_cc_solve_matches_dense_solve_on_a_stack():
+    # rows of an (R, n) stack are independent systems: the dense matrix is
+    # block diagonal, I + kk * (outflow - inflow) one interface at a time
+    n_rows, n = 3, 12
+    rng = np.random.default_rng(11)
+    w = rng.uniform(-5.0, 5.0, (n_rows, n - 1))
+    rho = rng.uniform(0.1, 1.0, (n_rows, n))
+    kk = 0.7
+    a, b, _ = _cc_fluxes(w)
+    dense = np.eye(n_rows * n)
+    for r in range(n_rows):
+        for j in range(n - 1):
+            lo, hi = r * n + j, r * n + j + 1
+            dense[lo, lo] += kk * a[r, j]
+            dense[lo, hi] -= kk * b[r, j]
+            dense[hi, lo] -= kk * a[r, j]
+            dense[hi, hi] += kk * b[r, j]
+    ref = np.linalg.solve(dense, rho.ravel()).reshape(rho.shape)
+    got = _cc_solve(rho, w, kk)
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(ref)
+    for r in range(n_rows):
+        assert np.array_equal(_cc_solve(rho[r], w[r], kk), got[r])
 
 
 # ---- the granular step across the model space ------------------------------------
