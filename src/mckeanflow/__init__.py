@@ -6,7 +6,7 @@ stochastic particle simulation, and explicit convergence certificates.
 
 __version__ = "0.1.0"
 
-from .model import (Interaction, ModelConfig, ModelError, Potential, drift,
+from .model import (ModelConfig, ModelError, Potential, drift,
                     mean_field_energy, mean_field_potential, standard_model)
 from .grid import (DensityGrid1D, GridError, PhaseGrid2D, UnderflowError,
                    entropy, equilibrium_for_mean, fisher_information,
@@ -30,7 +30,7 @@ from .analysis import (AnalysisError, RateFit, TrajectoryLog,
 
 __all__ = [
     "__version__",
-    "Interaction", "ModelConfig", "ModelError", "Potential", "drift",
+    "ModelConfig", "ModelError", "Potential", "drift",
     "mean_field_energy", "mean_field_potential", "standard_model",
     "DensityGrid1D", "GridError", "PhaseGrid2D", "UnderflowError",
     "entropy", "equilibrium_for_mean", "fisher_information", "free_energy",

@@ -26,7 +26,7 @@ Certified inequalities are one-sided upper bounds; validation applies
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from numpy.polynomial import polynomial as P
@@ -193,6 +193,11 @@ class CheckRecord:
     detail: str = ""
 
 
+# the certified constants, as named in CertificateReport
+_CONSTANTS = ("L", "lam", "kappa1", "eta", "alpha_eps", "eta_bar", "q1",
+              "delta", "delta_prime", "C_rate")
+
+
 @dataclass
 class CertificateReport:
     theta: float
@@ -213,24 +218,18 @@ class CertificateReport:
     verdict: str = "VALID"
     notes: str = ""
 
+    def constants(self) -> dict[str, float]:
+        """The certified constants under their JSON names."""
+        return {("lambda" if name == "lam" else name): getattr(self, name)
+                for name in _CONSTANTS}
+
     def to_json(self) -> str:
         payload = {
             "model": {"theta": self.theta, "sigma2": self.sigma2},
             "epsilon": self.epsilon,
             "m_plus": self.m_plus,
-            "constants": {
-                "L": self.L, "lambda": self.lam, "kappa1": self.kappa1,
-                "eta": self.eta, "alpha_eps": self.alpha_eps,
-                "eta_bar": self.eta_bar, "q1": self.q1,
-                "delta": self.delta, "delta_prime": self.delta_prime,
-                "C_rate": self.C_rate,
-            },
-            "checks": [
-                {"name": c.name, "passed": c.passed,
-                 "n_samples": c.n_samples, "worst_ratio": c.worst_ratio,
-                 "detail": c.detail}
-                for c in self.checks
-            ],
+            "constants": self.constants(),
+            "checks": [asdict(c) for c in self.checks],
             "verdict": self.verdict,
             "notes": self.notes,
         }
@@ -292,10 +291,8 @@ def build_certificate(model: ModelConfig, epsilon: float | None = None,
         notes=("alpha_eps is a grid supremum of the contraction ratio, "
                "not an analytic second-derivative bound on the mean map; "
                "it is numerically certified only"))
-    vals = [report.L, report.lam, report.kappa1, report.eta,
-            report.alpha_eps, report.eta_bar, report.q1, report.delta,
-            report.delta_prime, report.C_rate]
-    if not all(np.isfinite(v) and v >= 0 for v in vals):
+    if not all(np.isfinite(v) and v >= 0
+               for v in report.constants().values()):
         raise CertificateError("certificate constants must be finite and "
                                "nonnegative")
     if not (report.alpha_eps < 1.0 and report.delta_prime < report.delta):
@@ -307,8 +304,36 @@ def build_certificate(model: ModelConfig, epsilon: float | None = None,
 
     x_lo, x_hi = bounds
     rng = np.random.default_rng(seed)
-    s2 = model.sigma2
-    s4 = s2 * s2
+    s4 = model.sigma2 * model.sigma2
+
+    def gaussians(count: int, offset: float, lo: float, hi: float,
+                  w_hi: float) -> list[DensityGrid1D]:
+        """Starts centred at offset + U(lo, hi) with width U(0.2, w_hi),
+        at most 1/7 of the distance to the nearer wall: no edge mass."""
+        rho0s = []
+        for _ in range(count):
+            start = offset + float(rng.uniform(lo, hi))
+            width = min(float(rng.uniform(0.2, w_hi)),
+                        min(start - x_lo, x_hi - start) / 7.0)
+            rho0s.append(DensityGrid1D.gaussian(x_lo, x_hi, grid_n, start,
+                                                width))
+        return rho0s
+
+    def run(rho0s, T: float, every: float | None = None, reference=None):
+        """Advance the starts as one stack to T, sampling every `every`
+        time units, or at the two ends only; one log per start."""
+        solver = GranularSolver(model, rho0s)
+        record_every = (step_count(T, solver.dt) if every is None
+                        else max(1, int(every / solver.dt)))
+        return granular_run(solver, T, record_every, reference)
+
+    def record(name: str, ratios, detail: str) -> None:
+        """Append the check over these lhs/rhs sample ratios (floats or
+        arrays); it passes if the worst is at most 1."""
+        ratios = np.hstack(ratios)
+        worst = float(np.max(ratios))
+        report.checks.append(CheckRecord(name, worst <= 1.0, ratios.size,
+                                         worst, detail))
 
     # stationary reference: the discrete self-consistent density, which is
     # an exact steady state of the scheme
@@ -322,68 +347,34 @@ def build_certificate(model: ModelConfig, epsilon: float | None = None,
     f_star = free_energy(model, rho_star)
 
     # 1. Talagrand consequence of the uniform LSI on random pairs
-    worst = 0.0
-    detail = ""
-    n_pairs = 50
-    for _ in range(n_pairs):
+    ratios = []
+    for _ in range(50):
         nu = _random_mixture(rng, x_lo, x_hi, grid_n)
         gamma = equilibrium_for_mean(model, float(rng.uniform(-1.5, 1.5)),
                                      x_lo, x_hi, grid_n)
-        ratio = _ratio(wasserstein2(nu, gamma) ** 2,
-                       4.0 * eta * relative_entropy(nu, gamma) * 1.05)
-        if ratio > worst:
-            worst = ratio
-            detail = "worst W2^2 vs 4*eta*H at mixture sample"
-    report.checks.append(CheckRecord(
-        "talagrand", bool(worst <= 1.0), n_pairs, float(worst), detail))
+        ratios.append(_ratio(wasserstein2(nu, gamma) ** 2,
+                             4.0 * eta * relative_entropy(nu, gamma) * 1.05))
+    record("talagrand", ratios, "worst W2^2 vs 4*eta*H at mixture sample")
 
     # 2. dissipation inequality along solver runs restricted to means
     #    above epsilon
-    rho0s = []
-    for _ in range(n_runs):
-        start = float(rng.uniform(epsilon + 0.3 * delta, m_plus + 0.3))
-        width = float(rng.uniform(0.2, 0.5))
-        # at most 1/7 of the distance to the nearer wall: no edge mass
-        width = min(width, min(start - x_lo, x_hi - start) / 7.0)
-        rho0s.append(DensityGrid1D.gaussian(x_lo, x_hi, grid_n, start,
-                                            width))
-    solver = GranularSolver(model, rho0s)
-    logs = granular_run(solver, T=3.0,
-                        record_every=max(1, int(0.05 / solver.dt)))
-    worst = 0.0
-    used = 0
-    for log in logs:
-        m_arr = log.column("mean")
-        keep = np.abs(m_arr) >= epsilon
-        used += int(keep.sum())
-        gaps = log.column("F")[keep] - f_star
-        rhs = eta_bar * s4 * log.column("Fisher")[keep] * 1.05 + 1e-12
-        worst = max(worst, float(np.max(gaps / rhs)))
-    report.checks.append(CheckRecord(
-        "nonlinear_lsi", bool(worst <= 1.0), used, float(worst),
-        "F gap vs eta_bar*sigma2^2*Fisher along %d runs" % n_runs))
+    logs = run(gaussians(n_runs, 0.0, epsilon + 0.3 * delta, m_plus + 0.3,
+                         0.5), T=3.0, every=0.05)
+    kept = [np.abs(log.column("mean")) >= epsilon for log in logs]
+    record("nonlinear_lsi",
+           [(log.column("F")[k] - f_star)
+            / (eta_bar * s4 * log.column("Fisher")[k] * 1.05 + 1e-12)
+            for log, k in zip(logs, kept)],
+           "F gap vs eta_bar*sigma2^2*Fisher along %d runs" % n_runs)
 
     # 3. unit-time regularization: F gap at t=1 vs q1 * initial W2^2,
     #    sampled at the two ends only
-    n_q = 20
-    rho0s = []
-    for _ in range(n_q):
-        start = m_star + float(rng.uniform(-0.3, 0.3))
-        width = float(rng.uniform(0.2, 0.6))
-        width = min(width, min(start - x_lo, x_hi - start) / 7.0)
-        rho0s.append(DensityGrid1D.gaussian(x_lo, x_hi, grid_n, start,
-                                            width))
-    solver = GranularSolver(model, rho0s)
-    logs = granular_run(solver, T=1.0,
-                        record_every=step_count(1.0, solver.dt))
-    worst = 0.0
-    for rho0, log in zip(rho0s, logs):
-        w2_0 = wasserstein2(rho0, rho_star)
-        f = log.column("F")[-1]
-        worst = max(worst, _ratio(f - f_star, q1 * w2_0 ** 2 * 1.10 + 1e-12))
-    report.checks.append(CheckRecord(
-        "q1_regularization", bool(worst <= 1.0), n_q, float(worst),
-        "free-energy gap at t=1 vs q1*W2^2(rho_0, rho*)"))
+    rho0s = gaussians(20, m_star, -0.3, 0.3, 0.6)
+    record("q1_regularization",
+           [_ratio(log.column("F")[-1] - f_star,
+                   q1 * wasserstein2(rho0, rho_star) ** 2 * 1.10 + 1e-12)
+            for rho0, log in zip(rho0s, run(rho0s, T=1.0))],
+           "free-energy gap at t=1 vs q1*W2^2(rho_0, rho*)")
 
     # 4. certified decay envelope inside the delta_prime ball
     rho0s = []
@@ -395,21 +386,13 @@ def build_certificate(model: ModelConfig, epsilon: float | None = None,
             rho0 = equilibrium_for_mean(model, m_star, x_lo, x_hi, grid_n,
                                         shift=0.25 * delta_prime)
         rho0s.append(rho0)
-    solver = GranularSolver(model, rho0s)
-    logs = granular_run(solver, T=5.0,
-                        record_every=max(1, int(0.25 / solver.dt)),
-                        reference=rho_star)
-    worst = 0.0
-    used = 0
-    for rho0, log in zip(rho0s, logs):
-        w2_0 = wasserstein2(rho0, rho_star)
-        w2_t = log.column("W2_ref")
-        envelope = c_rate * np.exp(-log.t / eta_bar) * w2_0 ** 2
-        used += len(w2_t)
-        worst = max(worst, float(np.max(w2_t ** 2 / envelope)))
-    report.checks.append(CheckRecord(
-        "decay_envelope", bool(worst <= 1.0), used, float(worst),
-        "W2^2(rho_t, rho*) vs C*e^{-t/eta_bar}*W2^2(rho_0, rho*)"))
+    logs = run(rho0s, T=5.0, every=0.25, reference=rho_star)
+    record("decay_envelope",
+           [log.column("W2_ref") ** 2
+            / (c_rate * np.exp(-log.t / eta_bar)
+               * wasserstein2(rho0, rho_star) ** 2)
+            for rho0, log in zip(rho0s, logs)],
+           "W2^2(rho_t, rho*) vs C*e^{-t/eta_bar}*W2^2(rho_0, rho*)")
 
     if not all(c.passed for c in report.checks):
         report.verdict = "INVALID"

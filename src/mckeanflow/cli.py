@@ -176,6 +176,14 @@ class PhaseDiagramCfg(_Base):
     def _positive(self) -> "PhaseDiagramCfg":
         if any(s <= 0 for s in self.sigma2_values):
             raise ValueError("sigma2 values must be positive")
+        # each value writes phase_sigma2_%g.csv; equal values write the
+        # same file, distinct ones must not share it
+        names = {}
+        for s in self.sigma2_values:
+            first = names.setdefault("%g" % s, s)
+            if first != s:
+                raise ValueError("sigma2 values %r and %r both write "
+                                 "phase_sigma2_%g.csv" % (first, s, s))
         if not self.m_lo < self.m_hi:
             raise ValueError("need m_lo < m_hi")
         return self
@@ -235,7 +243,10 @@ class ParticlesRunCfg(_Base):
     with_proxy: bool = True
 
     @model_validator(mode="after")
-    def _needs_grid(self) -> "ParticlesRunCfg":
+    def _consistent(self) -> "ParticlesRunCfg":
+        # each seed writes trajectory_seed<seed>.csv
+        if len(set(self.seeds)) < len(self.seeds):
+            raise ValueError("seeds must be distinct")
         if self.grid is None and (self.reference != "none"
                                   or self.init.kind != "gaussian"):
             raise ValueError("this init/reference combination needs a "

@@ -382,4 +382,9 @@ def density_from_csv(path, x_lo: float, x_hi: float, n: int) -> DensityGrid1D:
     data = np.loadtxt(path, delimiter=",", skiprows=1)
     if data.ndim != 2 or data.shape[0] != n:
         raise GridError("csv does not match the requested grid")
-    return DensityGrid1D(x_lo, x_hi, n, data[:, 1]).normalize()
+    rho = DensityGrid1D(x_lo, x_hi, n, data[:, 1])
+    # files written with fewer digits still load
+    if not np.all(np.abs(data[:, 0] - rho.centers) <= 1e-3 * rho.dx):
+        raise GridError("csv x column does not match the cell centres of "
+                        "[%g, %g] with %d cells" % (x_lo, x_hi, n))
+    return rho.normalize()

@@ -189,43 +189,33 @@ class Potential:
 
 
 @dataclass(frozen=True)
-class Interaction:
-    """Quadratic interaction kernel W(x, y) = theta*(x-y)**2.
+class ModelConfig:
+    """Potential, quadratic interaction kernel W(x, y) = theta*(x-y)**2
+    and temperature sigma2.
 
     theta > 0 is attractive, theta < 0 repulsive.  The parametric
-    structure behind it is the feature map phi(x) = x with parameter
-    energy -theta*|psi|**2, so convolutions against a measure reduce to
-    its mean and second moment.
+    structure behind the kernel is the feature map phi(x) = x with
+    parameter energy -theta*|psi|**2, so convolutions against a measure
+    reduce to its mean and second moment.
     """
 
-    theta: float
-
-
-@dataclass(frozen=True)
-class ModelConfig:
-    """Potential + interaction + temperature sigma2."""
-
     potential: Potential
-    interaction: Interaction
+    theta: float
     sigma2: float
 
     def __post_init__(self):
         if not self.sigma2 > 0:
             raise ModelError("sigma2 must be positive")
 
-    @property
-    def theta(self) -> float:
-        return self.interaction.theta
-
     def with_sigma2(self, sigma2: float) -> "ModelConfig":
-        return ModelConfig(self.potential, self.interaction, float(sigma2))
+        return ModelConfig(self.potential, self.theta, float(sigma2))
 
 
 def standard_model(theta: float, sigma2: float,
                    potential: Potential | None = None) -> ModelConfig:
     """Quadratic-interaction model; double-well confinement by default."""
     pot = potential if potential is not None else Potential.double_well()
-    return ModelConfig(potential=pot, interaction=Interaction(float(theta)),
+    return ModelConfig(potential=pot, theta=float(theta),
                        sigma2=float(sigma2))
 
 

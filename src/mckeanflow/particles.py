@@ -118,7 +118,7 @@ def step_overdamped(ens: ParticleEnsemble, model: ModelConfig,
     """One Euler-Maruyama step; the coupling mean is computed once."""
     if ens.mode != "overdamped":
         raise ParticleError("ensemble is not in overdamped mode")
-    if dt <= 0:
+    if not dt > 0:
         raise ParticleError("dt must be positive")
     x = ens.positions
     force = drift(model, x, x.mean())
@@ -133,7 +133,7 @@ def step_kinetic(ens: ParticleEnsemble, model: ModelConfig,
                  dt: float) -> None:
     if ens.mode != "kinetic":
         raise ParticleError("ensemble is not in kinetic mode")
-    if dt <= 0:
+    if not dt > 0:
         raise ParticleError("dt must be positive")
     x = ens.positions
     v = ens.velocities

@@ -110,9 +110,9 @@ class GranularSolver:
         Normalized initial density.  A sequence is a stack of independent
         runs on one grid and one dt: the step advances all rows at once,
         each with its own mean, mass and positivity checks, and
-        `granular_run` gives one log per row.  A one-element sequence
-        steps on the single-run layout, bit for bit.  `state` and `mean()`
-        serve single runs; `states` serves both.
+        `granular_run` gives one log per row.  Every run is a row of one
+        (R, n) array; a single density is a one-row stack.  `state` and
+        `mean()` serve single runs; `states` serves both.
     dt : float or None
         Time step.  None picks `max_dt`; a larger dt raises `CflError`.
 
@@ -140,14 +140,9 @@ class GranularSolver:
         self.x_lo, self.x_hi, self.n = first.x_lo, first.x_hi, first.n
         self.dx = first.dx
         x = first.centers
-        rho = np.array([s.values for s in states])
-        self._rho = rho if len(states) > 1 else rho[0]
-        # per-row quantities are scalars for one row and (R, 1) columns for
-        # more, so one step body broadcasts over both
-        wide = self._rho.ndim == 2
-        self._xm = x[:, None] if wide else x
-        self._all = np.all if wide else bool
-        boundary = float(np.max(self._rho[..., [0, -1]])) * self.dx
+        self._rho = np.array([s.values for s in states])
+        self._x_col = x[:, None]
+        boundary = float(np.max(self._rho[:, [0, -1]])) * self.dx
         if boundary > EDGE_MASS_TOL:
             warnings.warn("boundary cells carry mass %.2e; domain may be "
                           "too small" % boundary)
@@ -158,7 +153,8 @@ class GranularSolver:
         self._w_pot = -np.diff(v) / s2
         self._x_if = 0.5 * (x[:-1] + x[1:])
         self._c_mean = 2.0 * model.theta * self.dx / s2
-        self._mass0 = self._rho.sum(axis=-1, keepdims=wide) * self.dx
+        # per-row quantities are (R, 1) columns
+        self._mass0 = self._rho.sum(axis=1, keepdims=True) * self.dx
         self._mass_prev = self._mass0
         self._mass_tol = 1e-12 * np.maximum(1.0, self._mass0)
         self.time = 0.0
@@ -178,20 +174,20 @@ class GranularSolver:
         if self._stacked:
             raise PdeError("a stacked solver holds one state per row; "
                            "use states")
-        return DensityGrid1D(self.x_lo, self.x_hi, self.n, self._rho.copy())
+        return self.states[0]
 
     @property
     def states(self) -> list[DensityGrid1D]:
-        rows = self._rho if self._rho.ndim == 2 else self._rho[None]
-        return [DensityGrid1D(self.x_lo, self.x_hi, self.n, r) for r in rows]
+        return [DensityGrid1D(self.x_lo, self.x_hi, self.n, r)
+                for r in self._rho]
 
-    def _means(self):
-        return self._rho @ self._xm * self.dx / self._mass0
+    def _means(self) -> np.ndarray:
+        return self._rho @ self._x_col * self.dx / self._mass0
 
     def mean(self) -> float:
         if self._stacked:
             raise PdeError("a stacked solver has one mean per row")
-        return float(self._means())
+        return float(self._means()[0, 0])
 
     def _interface_w(self, m) -> np.ndarray:
         return self._w_pot + self._c_mean * (m - self._x_if)
@@ -201,10 +197,10 @@ class GranularSolver:
         rho = _cc_solve(self._rho, self._interface_w(self._means()), kk)
         if rho.min() < 0.0:
             raise PdeError("positivity lost at t=%.6g" % self.time)
-        mass = rho.sum(axis=-1, keepdims=rho.ndim == 2) * self.dx
+        mass = rho.sum(axis=1, keepdims=True) * self.dx
         moved = abs(mass - self._mass_prev)
-        if not self._all(moved <= self._mass_tol):
-            worst = np.ravel(mass)[np.argmax(np.ravel(moved))]
+        if not (moved <= self._mass_tol).all():
+            worst = mass.flat[np.argmax(moved)]
             raise PdeError("mass drifted to %.17g at t=%.6g"
                            % (worst, self.time))
         self._rho = rho
@@ -317,7 +313,7 @@ class VfpSolver:
             dt = 0.5 * min(dt_transport,
                            state.dv / fmax if fmax > 0 else np.inf)
         self.dt = float(dt)
-        if self.dt <= 0:
+        if not self.dt > 0:
             raise PdeError("dt must be positive")
         if self.dt > dt_transport * (1.0 + 1e-9):
             raise CflError("dt=%.6g violates transport CFL; admissible "

@@ -3,7 +3,8 @@ import pytest
 
 import mckeanflow as mk
 from mckeanflow import CertificateError, Potential
-from mckeanflow.certificates import (CoreConstants, build_certificate,
+from mckeanflow.certificates import (CertificateReport, CheckRecord,
+                                     CoreConstants, build_certificate,
                                      lsi_eta, nonlinear_lsi_eta_bar, q_t,
                                      stability_radius, structural_constants)
 
@@ -192,3 +193,30 @@ def test_certificate_start_states_clear_the_walls(dw03, seed):
     # of mass in the edge cells, past the solver's 1e-10 boundary warning
     report = build_certificate(dw03, seed=seed, grid_n=256, n_runs=1)
     assert report.verdict == "VALID"
+
+
+def test_certificate_json_names():
+    # every constant under its JSON name (lambda for lam), and each check
+    # entry with exactly the CheckRecord fields
+    import json
+    names = ("L", "lambda", "kappa1", "eta", "alpha_eps", "eta_bar", "q1",
+             "delta", "delta_prime", "C_rate")
+    values = {name: float(k + 1) for k, name in enumerate(names)}
+    fields = {("lam" if name == "lambda" else name): v
+              for name, v in values.items()}
+    report = CertificateReport(
+        theta=1.0, sigma2=0.3, epsilon=0.1, m_plus=0.9, **fields,
+        checks=[CheckRecord("talagrand", True, 50, 0.6, "detail")])
+    parsed = json.loads(report.to_json())
+    assert parsed["constants"] == values
+    assert parsed["checks"] == [{"name": "talagrand", "passed": True,
+                                 "n_samples": 50, "worst_ratio": 0.6,
+                                 "detail": "detail"}]
+
+
+def test_certificate_independent_of_earlier_calls(dw03):
+    # the same certificate after the mean map has served other models
+    first = build_certificate(dw03, grid_n=256, n_runs=1).to_json()
+    mk.find_fixed_points(mk.SelfConsistency1D(mk.standard_model(2.0, 0.2)))
+    mk.critical_sigma2(mk.standard_model(1.0, 0.5), (0.3, 1.0))
+    assert build_certificate(dw03, grid_n=256, n_runs=1).to_json() == first

@@ -13,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mckeanflow.cli import main
+from mckeanflow.grid import DensityGrid1D, density_csv_text
 
 
 def write_cfg(tmp_path, payload, name="cfg.json"):
@@ -149,6 +150,10 @@ def test_verbose_reports_cfl_cover(tmp_path, capsys, dt, code):
 
 def test_domain_error_exit_2(tmp_path, capsys):
     missing = str(tmp_path / "missing.csv")
+    # 64 cells written on [-10, 10], read onto a [-4, 4] grid of 64 cells
+    wide = tmp_path / "wide.csv"
+    wide.write_text(density_csv_text(DensityGrid1D.gaussian(-10.0, 10.0, 64,
+                                                            0.0, 1.0)))
     nan_traj = tmp_path / "nan_traj.csv"
     nan_traj.write_text("t,W2_ref\n" + "".join(
         "%g,nan\n" % (0.1 * k) for k in range(20)))
@@ -209,6 +214,17 @@ def test_domain_error_exit_2(tmp_path, capsys):
         # the near bump at -1 sits within 5*s0 of the lower edge
         ("counterexample", {"s0": 0.3, "grid": {"x_lo": -2.0, "x_hi": 41.0,
                                                 "n": 256}}, "bump at x=-1 "),
+        ("pde-run", {"model": model,
+                     "grid": {"x_lo": -4.0, "x_hi": 4.0, "n": 64},
+                     "init": {"kind": "csv", "path": str(wide)}, "T": 0.1},
+         "x column"),
+        # each seed writes trajectory_seed<seed>.csv, so a repeat would
+        # overwrite one and count its run twice
+        ("particles-run", {"model": model, "n_particles": 64,
+                           "seeds": [5, 5], "T": 0.1}, "distinct"),
+        # both values would write phase_sigma2_0.3.csv
+        ("phase-diagram", {"theta": 1.0, "sigma2_values": [0.3, 0.30000001],
+                           "m_points": 3}, "phase_sigma2_0.3.csv"),
         # the stationary density's edge cells carry 2.7e-2 of its mass
         ("certificate", {"model": model, "x_lo": -1.0, "x_hi": 1.0,
                          "grid_n": 64, "n_runs": 1}, "mass 2.69e-02"),

@@ -20,6 +20,12 @@ def test_ensemble_validation():
     for T in (0.0, -1.0):
         with pytest.raises(ParticleError):
             mk.run_particles(ens, mk.standard_model(1.0, 0.3), 1e-3, T)
+    for step, mode in ((mk.step_overdamped, "overdamped"),
+                       (mk.step_kinetic, "kinetic")):
+        for dt in (0.0, np.nan):
+            with pytest.raises(ParticleError, match="dt must be positive"):
+                step(ParticleEnsemble(mode, np.zeros(8)),
+                     mk.standard_model(1.0, 0.3), dt)
 
 
 def test_seed_determinism():

@@ -204,8 +204,8 @@ def test_granular_one_row_stack_is_bit_identical(dw03):
     rho = _stack_states()[0]
     single = GranularSolver(dw03, rho)
     stack = GranularSolver(dw03, [rho])
-    # a one-element stack steps on the single-run layout
-    assert stack._rho.ndim == 1
+    # a single density is a one-row stack
+    assert single._rho.shape == stack._rho.shape == (1, 256)
     log = mk.granular_run(single, T=500 * single.dt, record_every=100,
                           reference=ref)
     logs = mk.granular_run(stack, T=500 * stack.dt, record_every=100,
@@ -478,8 +478,9 @@ def test_kinetic_and_overdamped_rates_comparable():
 def test_vfp_preconditions(dw03):
     state = product_state(-2.5, 2.5, 48, -2.2, 2.2, 48, np.ones(48),
                           0.0, np.sqrt(0.3))
-    with pytest.raises(PdeError):
-        VfpSolver(dw03, state, dt=0.0)
+    for dt in (0.0, np.nan):
+        with pytest.raises(PdeError, match="dt must be positive"):
+            VfpSolver(dw03, state, dt=dt)
     for T in (0.0, -1.0):
         with pytest.raises(PdeError):
             mk.vfp_run(VfpSolver(dw03, state), T)
