@@ -65,21 +65,29 @@ def _json_text(payload) -> str:
 
 
 class _Base(BaseModel):
+    """Strict config: unknown keys are refused, and every `<name>_lo`
+    field must lie below its `<name>_hi` unless that one is None."""
+
     model_config = ConfigDict(extra="forbid")
+
+    @model_validator(mode="after")
+    def _bounds_ordered(self):
+        for lo in type(self).model_fields:
+            hi = lo[:-3] + "_hi"
+            if (lo.endswith("_lo") and getattr(self, hi, None) is not None
+                    and not getattr(self, lo) < getattr(self, hi)):
+                raise ValueError("need %s < %s" % (lo, hi))
+        return self
 
 
 class PotentialCfg(_Base):
-    kind: Literal["double-well", "quadratic", "polynomial",
-                  "multi-well"] = "double-well"
+    kind: Literal["double-well", "quadratic", "polynomial"] = "double-well"
     coefficients: Optional[list[float]] = None
-    wells: Optional[list[tuple[float, float, float]]] = None
 
     @model_validator(mode="after")
     def _consistent(self) -> "PotentialCfg":
         if self.kind == "polynomial" and not self.coefficients:
             raise ValueError("polynomial potential needs coefficients")
-        if self.kind == "multi-well" and not self.wells:
-            raise ValueError("multi-well potential needs wells")
         return self
 
     def build(self) -> Potential:
@@ -87,9 +95,7 @@ class PotentialCfg(_Base):
             return Potential.double_well()
         if self.kind == "quadratic":
             return Potential.quadratic()
-        if self.kind == "polynomial":
-            return Potential.polynomial(self.coefficients)
-        return Potential.multi_well(self.wells)
+        return Potential.polynomial(self.coefficients)
 
 
 class ModelCfg(_Base):
@@ -107,12 +113,6 @@ class GridCfg(_Base):
     x_hi: float
     n: int = Field(ge=16)
 
-    @model_validator(mode="after")
-    def _ordered(self) -> "GridCfg":
-        if not self.x_lo < self.x_hi:
-            raise ValueError("need x_lo < x_hi")
-        return self
-
 
 class PhaseGridCfg(_Base):
     x_lo: float
@@ -121,12 +121,6 @@ class PhaseGridCfg(_Base):
     v_lo: float
     v_hi: float
     n_v: int = Field(ge=16)
-
-    @model_validator(mode="after")
-    def _ordered(self) -> "PhaseGridCfg":
-        if not (self.x_lo < self.x_hi and self.v_lo < self.v_hi):
-            raise ValueError("need increasing bounds on both axes")
-        return self
 
 
 class InitCfg(_Base):
@@ -164,18 +158,19 @@ class InitCfg(_Base):
         return density_from_csv(self.path, grid.x_lo, grid.x_hi, grid.n)
 
 
+_Sigma2List = list[Annotated[float, Field(gt=0)]]
+
+
 class PhaseDiagramCfg(_Base):
     theta: float
-    sigma2_values: list[float] = Field(min_length=1)
+    sigma2_values: _Sigma2List = Field(min_length=1)
     potential: PotentialCfg = Field(default_factory=PotentialCfg)
     m_lo: float = -2.0
     m_hi: float = 2.0
     m_points: int = Field(default=201, ge=3)
 
     @model_validator(mode="after")
-    def _positive(self) -> "PhaseDiagramCfg":
-        if any(s <= 0 for s in self.sigma2_values):
-            raise ValueError("sigma2 values must be positive")
+    def _distinct_files(self) -> "PhaseDiagramCfg":
         # each value writes phase_sigma2_%g.csv; equal values write the
         # same file, distinct ones must not share it
         names = {}
@@ -184,8 +179,6 @@ class PhaseDiagramCfg(_Base):
             if first != s:
                 raise ValueError("sigma2 values %r and %r both write "
                                  "phase_sigma2_%g.csv" % (first, s, s))
-        if not self.m_lo < self.m_hi:
-            raise ValueError("need m_lo < m_hi")
         return self
 
 
@@ -195,51 +188,50 @@ class CriticalCfg(_Base):
     bracket_hi: float = Field(default=1.0, gt=0)
     potential: PotentialCfg = Field(default_factory=PotentialCfg)
 
-    @model_validator(mode="after")
-    def _ordered(self) -> "CriticalCfg":
-        if not self.bracket_lo < self.bracket_hi:
-            raise ValueError("need bracket_lo < bracket_hi")
-        return self
-
 
 class FixedPointsCfg(_Base):
     model: ModelCfg
 
 
-class PdeRunCfg(_Base):
+class _RunCfg(_Base):
+    """The fields every solver run shares."""
+
     model: ModelCfg
+    init: InitCfg = Field(default_factory=InitCfg)
+    dt: Optional[float] = Field(default=None, gt=0)
+    T: float = Field(gt=0)
+    record_every: Optional[int] = Field(default=None, ge=1)
+    reference: Literal["none", "self-consistent"] = "none"
+
+    def reference_density(self, model, rho0: Optional[DensityGrid1D]
+                          ) -> Optional[DensityGrid1D]:
+        """The discrete self-consistent density on rho0's grid, started
+        from rho0's mean, or None when the run has no reference."""
+        if self.reference == "none":
+            return None
+        m_d = discrete_fixed_mean(model, rho0.x_lo, rho0.x_hi, rho0.n,
+                                  rho0.mean())
+        return equilibrium_for_mean(model, m_d, rho0.x_lo, rho0.x_hi,
+                                    rho0.n)
+
+
+class PdeRunCfg(_RunCfg):
     grid: GridCfg
-    init: InitCfg = Field(default_factory=InitCfg)
-    dt: Optional[float] = Field(default=None, gt=0)
-    T: float = Field(gt=0)
-    record_every: Optional[int] = Field(default=None, ge=1)
-    reference: Literal["none", "self-consistent"] = "none"
 
 
-class VfpRunCfg(_Base):
-    model: ModelCfg
+class VfpRunCfg(_RunCfg):
     phase_grid: PhaseGridCfg
-    init: InitCfg = Field(default_factory=InitCfg)
-    v_std: Optional[float] = Field(default=None, gt=0)
-    dt: Optional[float] = Field(default=None, gt=0)
-    T: float = Field(gt=0)
-    record_every: Optional[int] = Field(default=None, ge=1)
-    reference: Literal["none", "self-consistent"] = "none"
 
 
-class ParticlesRunCfg(_Base):
-    model: ModelCfg
+class ParticlesRunCfg(_RunCfg):
     mode: Literal["overdamped", "kinetic"] = "overdamped"
     n_particles: int = Field(ge=64)
     # Philox keys from seeds >= 2**63 pass through float64 and collide
     seeds: list[Annotated[int, Field(ge=0, lt=2 ** 63)]] = Field(
         min_length=1)
     dt: float = Field(default=1e-3, gt=0)
-    T: float = Field(gt=0)
     record_every: int = Field(default=100, ge=1)
-    init: InitCfg = Field(default_factory=InitCfg)
     grid: Optional[GridCfg] = None
-    reference: Literal["none", "self-consistent"] = "none"
     with_proxy: bool = True
 
     @model_validator(mode="after")
@@ -262,13 +254,6 @@ class CertificateCfg(_Base):
     x_lo: float = -4.5
     x_hi: float = 4.5
     n_runs: int = Field(default=5, ge=1)
-    run_checks: bool = True
-
-    @model_validator(mode="after")
-    def _ordered(self) -> "CertificateCfg":
-        if not self.x_lo < self.x_hi:
-            raise ValueError("need x_lo < x_hi")
-        return self
 
 
 class CounterexampleCfg(_Base):
@@ -301,16 +286,9 @@ class CounterexampleCfg(_Base):
 class LocalizationCfg(_Base):
     theta: float = 1.0
     a: float = 1.0
-    sigma2_values: list[float] = Field(
+    sigma2_values: _Sigma2List = Field(
         default_factory=lambda: [0.2, 0.1, 0.05], min_length=1)
     potential: PotentialCfg = Field(default_factory=PotentialCfg)
-    search_radius: float = Field(default=0.5, gt=0)
-
-    @model_validator(mode="after")
-    def _positive(self) -> "LocalizationCfg":
-        if any(s <= 0 for s in self.sigma2_values):
-            raise ValueError("sigma2 values must be positive")
-        return self
 
 
 class FitCfg(_Base):
@@ -372,18 +350,10 @@ def run_fixed_points(cfg: FixedPointsCfg, ctx: RunContext):
     return {"report.json": _json_text({"fixed_points": rows})}, 0
 
 
-def _self_consistent_reference(model, grid: GridCfg,
-                               m0: float) -> DensityGrid1D:
-    m_d = discrete_fixed_mean(model, grid.x_lo, grid.x_hi, grid.n, m0)
-    return equilibrium_for_mean(model, m_d, grid.x_lo, grid.x_hi, grid.n)
-
-
 def run_pde(cfg: PdeRunCfg, ctx: RunContext):
     model = cfg.model.build()
     rho0 = cfg.init.build(model, cfg.grid)
-    ref = None
-    if cfg.reference == "self-consistent":
-        ref = _self_consistent_reference(model, cfg.grid, rho0.mean())
+    ref = cfg.reference_density(model, rho0)
     solver = GranularSolver(model, rho0, dt=cfg.dt)
     ctx.log("dt=%.6g, max_dt=%.6g, %d steps, %d cells"
             % (solver.dt, solver.max_dt, step_count(cfg.T, solver.dt),
@@ -418,13 +388,10 @@ def run_vfp(cfg: VfpRunCfg, ctx: RunContext):
     pg = cfg.phase_grid
     xgrid = GridCfg(x_lo=pg.x_lo, x_hi=pg.x_hi, n=pg.n_x)
     rho_x = cfg.init.build(model, xgrid)
-    s2v = cfg.v_std ** 2 if cfg.v_std is not None else model.sigma2
-    gv = maxwellian(s2v, pg.v_lo, pg.v_hi, pg.n_v)
+    gv = maxwellian(model.sigma2, pg.v_lo, pg.v_hi, pg.n_v)
     state = PhaseGrid2D(pg.x_lo, pg.x_hi, pg.n_x, pg.v_lo, pg.v_hi, pg.n_v,
                         np.outer(rho_x.values, gv.values)).normalize()
-    ref = None
-    if cfg.reference == "self-consistent":
-        ref = _self_consistent_reference(model, xgrid, rho_x.mean())
+    ref = cfg.reference_density(model, rho_x)
     solver = VfpSolver(model, state, dt=cfg.dt)
     ctx.log("dt=%.3g, %dx%d cells" % (solver.dt, pg.n_x, pg.n_v))
     log = vfp_run(solver, cfg.T, cfg.record_every, reference=ref)
@@ -449,9 +416,7 @@ def run_vfp(cfg: VfpRunCfg, ctx: RunContext):
 def run_particles(cfg: ParticlesRunCfg, ctx: RunContext):
     model = cfg.model.build()
     rho0 = cfg.init.build(model, cfg.grid) if cfg.grid is not None else None
-    ref = None
-    if cfg.reference == "self-consistent":
-        ref = _self_consistent_reference(model, cfg.grid, rho0.mean())
+    ref = cfg.reference_density(model, rho0)
     outputs = {}
     finals = {"mean": [], "var": [], "w2_ref": [], "fe_proxy": []}
     for seed in cfg.seeds:
@@ -482,8 +447,7 @@ def run_particles(cfg: ParticlesRunCfg, ctx: RunContext):
 
 def run_certificate(cfg: CertificateCfg, ctx: RunContext):
     report = build_certificate(cfg.model.build(), epsilon=cfg.epsilon,
-                               validate=cfg.run_checks, seed=cfg.seed,
-                               grid_n=cfg.grid_n,
+                               seed=cfg.seed, grid_n=cfg.grid_n,
                                bounds=(cfg.x_lo, cfg.x_hi),
                                n_runs=cfg.n_runs)
     ctx.log("verdict: %s" % report.verdict)
@@ -523,8 +487,7 @@ def run_localization(cfg: LocalizationCfg, ctx: RunContext):
     values = []
     for s2 in cfg.sigma2_values:
         model = standard_model(cfg.theta, s2, pot)
-        values.append(localization_jacobian(model, cfg.a, s2,
-                                            search_radius=cfg.search_radius))
+        values.append(localization_jacobian(model, cfg.a, s2))
         ctx.log("sigma2=%g: jacobian %.6g" % (s2, values[-1]))
     limit = 2.0 * cfg.theta / (2.0 * cfg.theta + float(pot.hess(cfg.a)))
     report = {

@@ -225,22 +225,6 @@ def free_energy(model: ModelConfig, rho: DensityGrid1D) -> float:
     return model.sigma2 * entropy(rho) + mean_field_energy(model, rho)
 
 
-def effective_potential_on_grid(model: ModelConfig, rho: DensityGrid1D,
-                                mean: float) -> float:
-    """-sigma2 * log of the discrete Gibbs mass for a frozen mean.
-
-    Computed with the same midpoint sum as the other grid diagnostics, so
-    the exact discrete identity
-        free_energy(rho) = sigma2*KL(rho | Gibbs(mean(rho))) + this(mean(rho))
-    holds to round-off.
-    """
-    xs = rho.centers
-    e = model.potential.value(xs) + model.theta * (xs - mean) ** 2
-    logu = -e / model.sigma2
-    peak = logu.max()
-    return float(-model.sigma2 * (peak + np.log(np.sum(np.exp(logu - peak)) * rho.dx)))
-
-
 def total_variation(nu: DensityGrid1D | PhaseGrid2D,
                     mu: DensityGrid1D | PhaseGrid2D) -> float:
     if not nu.same_grid(mu):

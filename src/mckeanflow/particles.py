@@ -204,7 +204,7 @@ def run_particles(ens: ParticleEnsemble, model: ModelConfig, dt: float,
                   with_proxy: bool = True) -> TrajectoryLog:
     """Advance the ensemble to time T, logging empirical diagnostics in the
     columns t, mean, var, w2_ref and fe_proxy (nan when not requested)."""
-    if T <= 0:
+    if not T > 0:
         raise ParticleError("T must be positive")
     stepper = step_overdamped if ens.mode == "overdamped" else step_kinetic
     log = TrajectoryLog(("t", "mean", "var", "w2_ref", "fe_proxy"))

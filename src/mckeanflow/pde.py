@@ -249,7 +249,7 @@ def granular_run(solver: GranularSolver, T: float,
     Each log's free-energy column must be nonincreasing within
     1e-8 * (1 + |F|) per sample, otherwise the run aborts.
     """
-    if T <= 0:
+    if not T > 0:
         raise PdeError("T must be positive")
     logs = [TrajectoryLog(_COLUMNS) for _ in solver.states]
 
@@ -373,17 +373,6 @@ class VfpSolver:
         self.time += self.dt
         self.steps += 1
 
-    def stationary_flux_residual(self) -> float:
-        """Max friction-diffusion flux across v interfaces on the frozen
-        local equilibrium, relative to its peak.  The exponential-fitting
-        weights make this vanish to roundoff on the discretized Gaussian."""
-        gamma = local_equilibrium_kinetic(self.model, self.state)
-        g = gamma.values
-        v_if = 0.5 * (self._v[:-1] + self._v[1:])
-        a, b, _ = _cc_fluxes(-v_if * self.grid.dv / self.model.sigma2)
-        flux = a * g[:, :-1] - b * g[:, 1:]
-        return float(np.max(np.abs(flux)) / np.max(g))
-
 
 def vfp_run(solver: VfpSolver, T: float, record_every: int | None = None,
             reference: DensityGrid1D | None = None) -> TrajectoryLog:
@@ -394,7 +383,7 @@ def vfp_run(solver: VfpSolver, T: float, record_every: int | None = None,
     the x-marginal against `reference`.  F must be nonincreasing within
     1e-6 * (1 + |F|) per sample (splitting-error tolerance).
     """
-    if T <= 0:
+    if not T > 0:
         raise PdeError("T must be positive")
     log = TrajectoryLog(_COLUMNS)
 

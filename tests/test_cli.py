@@ -228,6 +228,37 @@ def test_domain_error_exit_2(tmp_path, capsys):
         # the stationary density's edge cells carry 2.7e-2 of its mass
         ("certificate", {"model": model, "x_lo": -1.0, "x_hi": 1.0,
                          "grid_n": 64, "n_runs": 1}, "mass 2.69e-02"),
+        # every <name>_lo must lie below its <name>_hi
+        ("phase-diagram", {"theta": 1.0, "sigma2_values": [0.3],
+                           "m_lo": 1.0, "m_hi": -1.0}, "need m_lo < m_hi"),
+        ("critical", {"theta": 1.0, "bracket_lo": 0.9, "bracket_hi": 0.4},
+         "need bracket_lo < bracket_hi"),
+        ("certificate", {"model": model, "x_lo": 4.5, "x_hi": -4.5},
+         "need x_lo < x_hi"),
+        ("vfp-run", {"model": model, "T": 0.1,
+                     "phase_grid": {"x_lo": -3.5, "x_hi": 3.5, "n_x": 32,
+                                    "v_lo": 4.0, "v_hi": -4.0, "n_v": 32}},
+         "need v_lo < v_hi"),
+        ("rates-report", {"trajectory": str(nan_traj),
+                          "fits": [{"column": "W2_ref", "kind": "power",
+                                    "t_lo": 1.0, "t_hi": 0.5}]},
+         "need t_lo < t_hi"),
+        # options that no run set are refused as unknown keys
+        ("fixed-points", {"model": {"theta": 1.0, "sigma2": 0.3,
+                                    "potential": {
+                                        "kind": "polynomial",
+                                        "coefficients": [0, 0, -0.5, 0,
+                                                         0.25],
+                                        "wells": [[1.0, 0.0, 1.0]]}}},
+         "wells", "Extra inputs"),
+        ("vfp-run", {"model": model, "T": 0.1, "v_std": 0.5,
+                     "phase_grid": {"x_lo": -3.5, "x_hi": 3.5, "n_x": 32,
+                                    "v_lo": -4.0, "v_hi": 4.0, "n_v": 32}},
+         "v_std", "Extra inputs"),
+        ("certificate", {"model": model, "run_checks": False},
+         "run_checks", "Extra inputs"),
+        ("localization", {"search_radius": 0.5}, "search_radius",
+         "Extra inputs"),
     ]
     for k, (experiment, payload, *named) in enumerate(cases):
         cfg = write_cfg(tmp_path, payload, name="cfg%d.json" % k)

@@ -213,8 +213,16 @@ def test_free_energy_gaussian_minimizer():
 
 def test_free_energy_decomposition_residual_constant(dw03):
     # F(rho) - sigma2*KL(rho|Gamma(rho)) is a function of the mean alone;
-    # subtracting the effective potential of the mean leaves a constant
-    from mckeanflow.grid import effective_potential_on_grid
+    # subtracting the effective potential of the mean, -sigma2 * log of the
+    # discrete Gibbs mass by the same midpoint sum, leaves a constant
+    def effective_potential(rho):
+        xs = rho.centers
+        logu = -(dw03.potential.value(xs)
+                 + dw03.theta * (xs - rho.mean()) ** 2) / dw03.sigma2
+        peak = logu.max()
+        return -dw03.sigma2 * (peak + np.log(np.sum(np.exp(logu - peak))
+                                             * rho.dx))
+
     rng = np.random.default_rng(23)
     residuals = []
     for _ in range(12):
@@ -222,7 +230,7 @@ def test_free_energy_decomposition_residual_constant(dw03):
         gam = mk.local_equilibrium(dw03, rho)
         r = (mk.free_energy(dw03, rho)
              - dw03.sigma2 * mk.relative_entropy(rho, gam)
-             - effective_potential_on_grid(dw03, rho, rho.mean()))
+             - effective_potential(rho))
         residuals.append(r)
     assert np.max(np.abs(residuals)) <= 1e-6
 

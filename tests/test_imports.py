@@ -1,5 +1,6 @@
-"""No package module imports a name it never references, so a deletion
-cannot leave a dead import behind (no linter is part of the toolchain)."""
+"""No package module imports a name it never references, and no private
+module-level name goes unreferenced, so a deletion cannot leave a dead
+import or helper behind (no linter is part of the toolchain)."""
 
 import ast
 from pathlib import Path
@@ -26,4 +27,42 @@ def test_no_unused_imports(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = ["%s (line %d)" % (name, line)
               for name, line in sorted(imported.items()) if name not in used]
+    assert not unused, unused
+
+
+def _module_private_names(tree):
+    """Private functions, classes and constants bound at module level."""
+    names = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [
+                node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        names[name.id] = node.lineno
+    return {name: line for name, line in names.items()
+            if name.startswith("_") and not name.startswith("__")}
+
+
+def test_no_unused_private_names():
+    # a private name serves its package only, so one that no module
+    # references is dead code left behind by a deletion
+    used = set()
+    defined = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        defined += ["%s:%d %s" % (path.name, line, name) for name, line
+                    in sorted(_module_private_names(tree).items())]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx,
+                                                             ast.Store):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+    unused = [entry for entry in defined if entry.split()[-1] not in used]
     assert not unused, unused

@@ -17,8 +17,8 @@ def test_ensemble_validation():
         ParticleEnsemble("overdamped", np.zeros((8, 2)))
     ens = ParticleEnsemble("kinetic", np.zeros(8))
     assert ens.velocities.shape == (8,)
-    for T in (0.0, -1.0):
-        with pytest.raises(ParticleError):
+    for T in (0.0, -1.0, np.nan):
+        with pytest.raises(ParticleError, match="T must be positive"):
             mk.run_particles(ens, mk.standard_model(1.0, 0.3), 1e-3, T)
     for step, mode in ((mk.step_overdamped, "overdamped"),
                        (mk.step_kinetic, "kinetic")):

@@ -37,8 +37,8 @@ def test_granular_rejects_bad_input():
     unnorm = DensityGrid1D(-4, 4, 128, 2.0 * rho.values)
     with pytest.raises(PdeError):
         GranularSolver(model, unnorm)
-    for T in (0.0, -1.0):
-        with pytest.raises(PdeError):
+    for T in (0.0, -1.0, np.nan):
+        with pytest.raises(PdeError, match="T must be positive"):
             mk.granular_run(GranularSolver(model, rho), T)
 
 
@@ -404,15 +404,6 @@ def test_vfp_product_fixed_point_stationary(dw03):
     assert s.x_mean() == pytest.approx(m, abs=1e-2)
 
 
-def test_vfp_stationary_flux_residual(dw03):
-    m = discrete_fixed_mean(dw03, -2.5, 2.5, 64, m0=0.8)
-    rho_x = equilibrium_for_mean(dw03, m, -2.5, 2.5, 64)
-    state = product_state(-2.5, 2.5, 64, -3, 3, 48, rho_x.values,
-                          0.0, np.sqrt(0.3))
-    s = VfpSolver(dw03, state)
-    assert s.stationary_flux_residual() <= 1e-8
-
-
 def test_vfp_free_energy_monotone(dw03):
     vals = np.exp(-0.5 * ((np.linspace(-3, 3, 64) - 0.4) / 0.4) ** 2)
     state = product_state(-3, 3, 64, -3, 3, 48, vals,
@@ -481,8 +472,8 @@ def test_vfp_preconditions(dw03):
     for dt in (0.0, np.nan):
         with pytest.raises(PdeError, match="dt must be positive"):
             VfpSolver(dw03, state, dt=dt)
-    for T in (0.0, -1.0):
-        with pytest.raises(PdeError):
+    for T in (0.0, -1.0, np.nan):
+        with pytest.raises(PdeError, match="T must be positive"):
             mk.vfp_run(VfpSolver(dw03, state), T)
     with pytest.raises(CflError, match="transport CFL"):
         VfpSolver(dw03, state, dt=10.0)
