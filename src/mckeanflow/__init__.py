@@ -7,7 +7,7 @@ stochastic particle simulation, and explicit convergence certificates.
 __version__ = "0.1.0"
 
 from .model import (ModelConfig, ModelError, Potential, drift,
-                    mean_field_energy, mean_field_potential, standard_model)
+                    mean_field_energy, standard_model)
 from .grid import (DensityGrid1D, GridError, PhaseGrid2D, UnderflowError,
                    entropy, equilibrium_for_mean, fisher_information,
                    free_energy, kinetic_free_energy, local_equilibrium,
@@ -31,7 +31,7 @@ from .analysis import (AnalysisError, RateFit, TrajectoryLog,
 __all__ = [
     "__version__",
     "ModelConfig", "ModelError", "Potential", "drift",
-    "mean_field_energy", "mean_field_potential", "standard_model",
+    "mean_field_energy", "standard_model",
     "DensityGrid1D", "GridError", "PhaseGrid2D", "UnderflowError",
     "entropy", "equilibrium_for_mean", "fisher_information", "free_energy",
     "kinetic_free_energy", "local_equilibrium", "relative_entropy",

@@ -40,7 +40,7 @@ from .model import ModelConfig
 from .pde import EDGE_MASS_TOL, GranularSolver, granular_run
 
 
-class CertificateError(RuntimeError):
+class CertificateError(ValueError):
     """A certificate constant could not be produced for this model."""
 
 

@@ -7,8 +7,9 @@ Experiments are configured by JSON files validated against strict schemas
 (unknown keys are rejected).  All outputs are written atomically at the
 end of a successful run, plus a manifest.json with the config hash,
 package versions and wall-clock time.  Exit codes: 0 success, 2 config
-or domain validation failure, 3 numerical failure (dt above the solver's
-bound, lost positivity or mass), 4 certificate verdict INVALID.  With
+or domain validation failure (a certificate for a supercritical model
+among them), 3 numerical failure (dt above the solver's bound, lost
+positivity or mass), 4 certificate verdict INVALID.  With
 identical configs and seeds, reruns are byte-identical except for the
 manifest's wall-clock entry.  Every run uses one thread; --threads is
 accepted for old command lines and ignored.
@@ -35,7 +36,7 @@ from pydantic import BaseModel, ConfigDict, Field, model_validator
 from . import __version__
 from .analysis import (detect_sign_change, fit_exponential, fit_power,
                        step_count)
-from .certificates import CertificateError, build_certificate
+from .certificates import build_certificate
 from .grid import (DensityGrid1D, PhaseGrid2D, density_csv_text,
                    density_from_csv, equilibrium_for_mean, maxwellian,
                    phase_csv_text)
@@ -43,8 +44,7 @@ from .meanfield import (SelfConsistency1D, critical_sigma2,
                         discrete_fixed_mean, find_fixed_points,
                         localization_jacobian)
 from .model import Potential, standard_model
-from .particles import (ParticleEnsemble, ParticleError,
-                        run_particles as simulate_particles)
+from .particles import ParticleEnsemble, run_particles as simulate_particles
 from .pde import GranularSolver, VfpSolver, granular_run, vfp_run
 
 
@@ -95,7 +95,7 @@ class PotentialCfg(_Base):
             return Potential.double_well()
         if self.kind == "quadratic":
             return Potential.quadratic()
-        return Potential.polynomial(self.coefficients)
+        return Potential(self.coefficients)
 
 
 class ModelCfg(_Base):
@@ -232,7 +232,6 @@ class ParticlesRunCfg(_RunCfg):
     dt: float = Field(default=1e-3, gt=0)
     record_every: int = Field(default=100, ge=1)
     grid: Optional[GridCfg] = None
-    with_proxy: bool = True
 
     @model_validator(mode="after")
     def _consistent(self) -> "ParticlesRunCfg":
@@ -429,12 +428,11 @@ def run_particles(cfg: ParticlesRunCfg, ctx: RunContext):
                 cfg.mode, cfg.n_particles, rho0, seed,
                 sigma2_velocity=model.sigma2)
         log = simulate_particles(ens, model, cfg.dt, cfg.T,
-                                 cfg.record_every, reference=ref,
-                                 with_proxy=cfg.with_proxy)
+                                 cfg.record_every, reference=ref)
         outputs["trajectory_seed%d.csv" % seed] = log.to_csv_text()
         for key in finals:
             finals[key].append(float(log.column(key)[-1]))
-    # nan columns (no reference / proxy disabled) are dropped from the report
+    # the nan w2_ref column of a run without a reference is dropped
     medians = {k: float(np.median(v)) for k, v in finals.items()
                if np.all(np.isfinite(v))}
     report = {
@@ -486,8 +484,8 @@ def run_localization(cfg: LocalizationCfg, ctx: RunContext):
     pot = cfg.potential.build()
     values = []
     for s2 in cfg.sigma2_values:
-        model = standard_model(cfg.theta, s2, pot)
-        values.append(localization_jacobian(model, cfg.a, s2))
+        values.append(localization_jacobian(
+            standard_model(cfg.theta, s2, pot), cfg.a))
         ctx.log("sigma2=%g: jacobian %.6g" % (s2, values[-1]))
     limit = 2.0 * cfg.theta / (2.0 * cfg.theta + float(pot.hess(cfg.a)))
     report = {
@@ -648,8 +646,7 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     try:
         outputs, code = entry.runner(cfg, ctx)
-    except (ArithmeticError, ParticleError, CertificateError,
-            np.linalg.LinAlgError) as exc:
+    except (ArithmeticError, np.linalg.LinAlgError) as exc:
         return _fail(3, "%s: %s" % (type(exc).__name__, exc))
     except (ValueError, OSError) as exc:
         return _fail(2, "%s: %s" % (type(exc).__name__, exc))

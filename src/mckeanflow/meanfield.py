@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import brentq
 
-from .grid import DensityGrid1D, equilibrium_for_mean
+from .grid import equilibrium_for_mean
 from .model import ModelConfig
 
 _TAIL_LOG = np.log(1e-14)
@@ -121,12 +121,6 @@ class SelfConsistency1D:
         """g(m) = -sigma2 * log Z(m); g'(m) = 2*theta*(m - f(m))."""
         logz, _, _ = self.moments(m)
         return -self.model.sigma2 * logz
-
-    def density(self, m: float, x_lo: float, x_hi: float,
-                n: int) -> DensityGrid1D:
-        """Member rho_m discretized on a grid (same formula as the grid
-        module's local equilibrium at frozen mean m)."""
-        return equilibrium_for_mean(self.model, m, x_lo, x_hi, n)
 
 
 # ---- fixed points ------------------------------------------------------------
@@ -314,9 +308,9 @@ def discrete_fixed_mean(model: ModelConfig, x_lo: float, x_hi: float,
     raise MeanFieldError("discrete mean map iteration did not converge")
 
 
-def localization_jacobian(model: ModelConfig, a: float, sigma2: float,
-                          search_radius: float = 0.5) -> float:
-    """f'(psi*) at the fixed point localized near a potential minimum a.
+def localization_jacobian(model: ModelConfig, a: float) -> float:
+    """f'(psi*) at the model's fixed point psi* in [a - 0.5, a + 0.5],
+    localized near a potential minimum a.
 
     Requires V'(a) = 0 and V''(a) > 0.  As sigma2 -> 0 the value tends to
     2*theta/(2*theta + V''(a)); staying below 1 certifies the localized
@@ -327,9 +321,9 @@ def localization_jacobian(model: ModelConfig, a: float, sigma2: float,
         raise MeanFieldError("a is not a critical point of the potential")
     if float(pot.hess(a)) <= 0:
         raise MeanFieldError("a is not a nondegenerate local minimum")
-    sc = SelfConsistency1D(model.with_sigma2(sigma2))
+    sc = SelfConsistency1D(model)
     h = lambda m: sc.mean_map(m) - m
-    lo, hi = a - search_radius, a + search_radius
+    lo, hi = a - 0.5, a + 0.5
     if not (h(lo) > 0 > h(hi)):
         raise LocalizationError("no local fixed point bracketed near a; "
                                 "localization regime not reached")

@@ -49,11 +49,10 @@ class Potential:
 
     coefficients are in ascending order: V(x) = sum(c[k] * x**k).
     The leading degree must be even and its coefficient positive so that
-    V is confining.  `label` records which named family built it.
+    V is confining.
     """
 
     coefficients: tuple[float, ...]
-    label: str = "polynomial"
 
     def __post_init__(self):
         object.__setattr__(self, "coefficients", _as_tuple(self.coefficients))
@@ -70,16 +69,12 @@ class Potential:
     @staticmethod
     def double_well() -> "Potential":
         """V(x) = x**4/4 - x**2/2, two wells at +-1 and a barrier at 0."""
-        return Potential((0.0, 0.0, -0.5, 0.0, 0.25), label="double_well")
+        return Potential((0.0, 0.0, -0.5, 0.0, 0.25))
 
     @staticmethod
     def quadratic() -> "Potential":
         """V(x) = x**2/2."""
-        return Potential((0.0, 0.0, 0.5), label="quadratic")
-
-    @staticmethod
-    def polynomial(coefficients) -> "Potential":
-        return Potential(tuple(coefficients), label="polynomial")
+        return Potential((0.0, 0.0, 0.5))
 
     @staticmethod
     def multi_well(wells) -> "Potential":
@@ -97,7 +92,7 @@ class Potential:
             base = P.polysub(P.polypow((-a, 1.0), 2), (r * r,))
             term = s * P.polypow(base, 2)
             coeffs = P.polyadd(coeffs, term)
-        return Potential(tuple(coeffs), label="multi_well")
+        return Potential(tuple(coeffs))
 
     # ---- evaluation ------------------------------------------------------
 
@@ -227,21 +222,6 @@ def drift(model: ModelConfig, x, mean):
     """
     x = np.asarray(x, dtype=float)
     return -model.potential.grad(x) - 2.0 * model.theta * (x - mean)
-
-
-def mean_field_potential(model: ModelConfig, x, mean: float,
-                         second_moment: float):
-    """Frozen single-particle energy V(x) + theta*(x**2 - 2*x*mean + m2).
-
-    This is the linear functional derivative of the interaction-plus-
-    confinement energy at a measure with the given first two moments;
-    its negative x-derivative is `drift`.
-    """
-    if second_moment - mean * mean < -1e-12 * max(1.0, mean * mean):
-        raise ModelError("second_moment < mean**2 is not a valid moment pair")
-    x = np.asarray(x, dtype=float)
-    th = model.theta
-    return model.potential.value(x) + th * (x * x - 2.0 * x * mean + second_moment)
 
 
 def mean_field_energy(model: ModelConfig, rho) -> float:

@@ -34,7 +34,7 @@ from .model import ModelConfig, drift
 _INIT_STREAM = 2 ** 62  # reserved step key for the initial draw
 
 
-class ParticleError(RuntimeError):
+class ParticleError(ArithmeticError):
     pass
 
 
@@ -75,6 +75,8 @@ class ParticleEnsemble:
                 self.velocities = np.array(self.velocities, dtype=float)
             if self.velocities.shape != self.positions.shape:
                 raise ParticleError("velocity shape mismatch")
+        elif self.velocities is not None:
+            raise ParticleError("an overdamped ensemble has no velocities")
 
     @property
     def n(self) -> int:
@@ -84,26 +86,26 @@ class ParticleEnsemble:
 
     @classmethod
     def gaussian(cls, mode: str, n: int, mean: float, std: float,
-                 seed: int, sigma2_velocity: float | None = None
+                 seed: int, sigma2_velocity: float = 0.0
                  ) -> "ParticleEnsemble":
         x = mean + std * _stream(seed, _INIT_STREAM).standard_normal(n)
         v = None
         if mode == "kinetic":
-            s = np.sqrt(sigma2_velocity) if sigma2_velocity else 0.0
             # separate stream so position draws stay N-prefix-stable
-            v = s * _stream(seed, _INIT_STREAM + 1).standard_normal(n)
+            v = (np.sqrt(sigma2_velocity)
+                 * _stream(seed, _INIT_STREAM + 1).standard_normal(n))
         return cls(mode, x, v, rng_seed=seed)
 
     @classmethod
     def from_density(cls, mode: str, n: int, rho: DensityGrid1D, seed: int,
-                     sigma2_velocity: float | None = None) -> "ParticleEnsemble":
+                     sigma2_velocity: float = 0.0) -> "ParticleEnsemble":
         """Inverse-CDF draw of n positions from a grid density."""
         u = _stream(seed, _INIT_STREAM).random(n)
         x = quantiles_at(rho, u)
         v = None
         if mode == "kinetic":
-            s = np.sqrt(sigma2_velocity) if sigma2_velocity else 0.0
-            v = s * _stream(seed, _INIT_STREAM + 1).standard_normal(n)
+            v = (np.sqrt(sigma2_velocity)
+                 * _stream(seed, _INIT_STREAM + 1).standard_normal(n))
         return cls(mode, x, v, rng_seed=seed)
 
 
@@ -200,10 +202,10 @@ def empirical_w2(ens: ParticleEnsemble, reference: DensityGrid1D) -> float:
 
 def run_particles(ens: ParticleEnsemble, model: ModelConfig, dt: float,
                   T: float, record_every: int = 100,
-                  reference: DensityGrid1D | None = None,
-                  with_proxy: bool = True) -> TrajectoryLog:
+                  reference: DensityGrid1D | None = None) -> TrajectoryLog:
     """Advance the ensemble to time T, logging empirical diagnostics in the
-    columns t, mean, var, w2_ref and fe_proxy (nan when not requested)."""
+    columns t, mean, var, w2_ref (nan without a reference) and fe_proxy,
+    which needs at least 64 particles."""
     if not T > 0:
         raise ParticleError("T must be positive")
     stepper = step_overdamped if ens.mode == "overdamped" else step_kinetic
@@ -212,8 +214,8 @@ def run_particles(ens: ParticleEnsemble, model: ModelConfig, dt: float,
     def sample() -> None:
         x = ens.positions
         w2 = empirical_w2(ens, reference) if reference is not None else np.nan
-        fe = free_energy_proxy(ens, model) if with_proxy else np.nan
-        log.append(ens.time, np.mean(x), np.var(x), w2, fe)
+        log.append(ens.time, np.mean(x), np.var(x), w2,
+                   free_energy_proxy(ens, model))
 
     sampled_run(lambda: stepper(ens, model, dt), sample, dt, T, record_every)
     return log

@@ -168,11 +168,11 @@ def test_c06_counterexample_sign_change(tmp_path):
     assert time.perf_counter() - started < 60.0
 
 
-def test_c07_entropy_sandwich(dw03, sc03, m_plus):
+def test_c07_entropy_sandwich(dw03, m_plus):
     started = time.perf_counter()
     lam = dw03.theta
     s2 = dw03.sigma2
-    rho_star = sc03.density(m_plus, -4.0, 4.0, 512)
+    rho_star = mk.equilibrium_for_mean(dw03, m_plus, -4.0, 4.0, 512)
     f_star = mk.free_energy(dw03, rho_star)
     rng = np.random.default_rng(2024)
     checked_lower = 0
@@ -249,7 +249,8 @@ def test_c09_kinetic_convergence():
 
 def test_c10_localization_limit(dw03):
     started = time.perf_counter()
-    vals = [localization_jacobian(dw03, 1.0, s2) for s2 in (0.2, 0.1, 0.05)]
+    vals = [localization_jacobian(dw03.with_sigma2(s2), 1.0)
+            for s2 in (0.2, 0.1, 0.05)]
     assert all(v < 1.0 for v in vals)
     assert vals[0] > vals[1] > vals[2] > 0.5
     assert abs(vals[2] - 0.5) < 0.1

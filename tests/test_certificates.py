@@ -45,7 +45,7 @@ def test_lsi_eta_double_well_finite(dw03):
 
 def test_lsi_eta_four_well():
     # inf V'' = -5.0338 sits at the outer barriers x = +-2.3154
-    four_well = Potential.polynomial(
+    four_well = Potential(
         np.array([0.0, 0.0, -18.0, 0.0, 49 / 4, 0.0, -7 / 3, 0.0, 1 / 8])
         / 36.0)
     # strong coupling convexifies: eta = sigma2 / (2 (inf V'' + 2 theta))

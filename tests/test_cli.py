@@ -161,6 +161,9 @@ def test_domain_error_exit_2(tmp_path, capsys):
     cases = [
         # supercritical temperature: no nonzero fixed point to localize on
         ("localization", {"theta": 1.0, "sigma2_values": [1.5]}),
+        # the certificate needs the two-well regime below sigma2_c = 0.816
+        ("certificate", {"model": {"theta": 1.0, "sigma2": 1.5}},
+         "supercritical"),
         # a mixture is sampled from a density, which needs a grid
         ("particles-run", {"model": model, "n_particles": 64, "seeds": [0],
                            "T": 0.1, "init": {"kind": "mixture",
@@ -258,6 +261,9 @@ def test_domain_error_exit_2(tmp_path, capsys):
         ("certificate", {"model": model, "run_checks": False},
          "run_checks", "Extra inputs"),
         ("localization", {"search_radius": 0.5}, "search_radius",
+         "Extra inputs"),
+        ("particles-run", {"model": model, "n_particles": 64, "seeds": [0],
+                           "T": 0.1, "with_proxy": False}, "with_proxy",
          "Extra inputs"),
     ]
     for k, (experiment, payload, *named) in enumerate(cases):
@@ -451,7 +457,7 @@ def test_particle_reference_starts_from_initial_density_mean(tmp_path):
     # same reference: a mixture leaves init.mean at its default 0.0, so the
     # reference search has to start from the initial density's mean
     base = {"model": {"theta": 1.0, "sigma2": 0.3}, "n_particles": 1024,
-            "seeds": [1, 2], "T": 3.0, "with_proxy": False,
+            "seeds": [1, 2], "T": 3.0,
             "grid": {"x_lo": -4.0, "x_hi": 4.0, "n": 512},
             "reference": "self-consistent"}
     w2 = []
@@ -551,3 +557,60 @@ def test_invalid_certificate_exit_4(tmp_path, monkeypatch, capsys):
     # the report is still written so the verdict can be inspected
     payload = json.loads((out_dir / "certificate.json").read_text())
     assert payload["verdict"] == "INVALID"
+
+
+def test_every_experiment_runs(tmp_path):
+    # one small config per experiment, so a runner that no other test
+    # reaches still runs once; a new experiment needs a case here
+    import mckeanflow as mk
+    from mckeanflow.cli import EXPERIMENTS
+
+    model = {"theta": 1.0, "sigma2": 0.3}
+    traj = tmp_path / "traj.csv"
+    t = np.linspace(0.0, 5.0, 50)
+    traj.write_text("t,w2\n" + "".join("%.17g,%.17g\n" % (a, np.exp(-a))
+                                         for a in t))
+    cases = {
+        "phase-diagram": {"theta": 1.0, "sigma2_values": [0.3, 1.2],
+                          "m_points": 21},
+        "critical": {"theta": 1.0, "bracket_lo": 0.7, "bracket_hi": 0.9},
+        "fixed-points": {"model": model},
+        "pde-run": {"model": model, "T": 0.05,
+                    "grid": {"x_lo": -4.0, "x_hi": 4.0, "n": 64}},
+        "vfp-run": {"model": model, "T": 0.05,
+                    "phase_grid": {"x_lo": -3.5, "x_hi": 3.5, "n_x": 32,
+                                   "v_lo": -4.0, "v_hi": 4.0, "n_v": 32}},
+        "particles-run": {"model": model, "n_particles": 64, "seeds": [0],
+                          "dt": 1e-2, "T": 0.1},
+        "certificate": {"model": model, "grid_n": 256, "n_runs": 1},
+        "counterexample": {"epsilon": 0.06, "s0": 0.06, "T": 0.001},
+        "localization": {},
+        "rates-report": {"trajectory": str(traj),
+                         "fits": [{"column": "w2", "kind": "exponential"}]},
+    }
+    assert set(cases) == set(EXPERIMENTS)
+    for experiment, payload in cases.items():
+        cfg = write_cfg(tmp_path, payload, name=experiment + ".json")
+        assert main([experiment, "--config", cfg,
+                     "--out", str(tmp_path / experiment)]) == 0, experiment
+
+    out = tmp_path / "phase-diagram"
+    report = json.loads((out / "report.json").read_text())
+    assert [(row["sigma2"], row["fixed_point_count"])
+            for row in report["sweep"]] == [(0.3, 3), (1.2, 1)]
+    for s2 in (0.3, 1.2):
+        sc = mk.SelfConsistency1D(mk.standard_model(1.0, s2))
+        rows = np.loadtxt(out / ("phase_sigma2_%g.csv" % s2), delimiter=",",
+                          skiprows=1)
+        assert len(rows) == 21
+        for m, f, fprime, g in rows[::5]:
+            logz, mean, var = sc.moments(m)
+            assert (f, fprime, g) == pytest.approx(
+                (mean, 2.0 / s2 * var, -s2 * logz), rel=1e-12, abs=1e-12)
+
+    report = json.loads((tmp_path / "localization" / "report.json")
+                        .read_text())
+    assert report["jacobians"] == [
+        mk.localization_jacobian(mk.standard_model(1.0, s2), 1.0)
+        for s2 in report["sigma2_values"]]
+    assert report["low_temperature_limit"] == 0.5

@@ -77,8 +77,8 @@ def test_local_equilibrium_linear_case():
     assert mk.wasserstein2(gam, target) <= rho.dx
 
 
-def test_local_equilibrium_fixed_point(dw03, sc03, m_plus):
-    rho = sc03.density(m_plus, -4, 4, 1024)
+def test_local_equilibrium_fixed_point(dw03, m_plus):
+    rho = mk.equilibrium_for_mean(dw03, m_plus, -4, 4, 1024)
     gam = mk.local_equilibrium(dw03, rho)
     l1 = np.sum(np.abs(gam.values - rho.values)) * rho.dx
     assert l1 <= 1e-6
@@ -235,9 +235,11 @@ def test_free_energy_decomposition_residual_constant(dw03):
     assert np.max(np.abs(residuals)) <= 1e-6
 
 
-def test_free_energy_orders_fixed_points(dw03, sc03, m_plus):
-    f_star = mk.free_energy(dw03, sc03.density(m_plus, -4, 4, 2048))
-    f_zero = mk.free_energy(dw03, sc03.density(0.0, -4, 4, 2048))
+def test_free_energy_orders_fixed_points(dw03, m_plus):
+    f_star = mk.free_energy(
+        dw03, mk.equilibrium_for_mean(dw03, m_plus, -4, 4, 2048))
+    f_zero = mk.free_energy(
+        dw03, mk.equilibrium_for_mean(dw03, 0.0, -4, 4, 2048))
     assert f_star == pytest.approx(ov.F_STAR, abs=1e-4)
     assert f_zero == pytest.approx(ov.F_SYMMETRIC, abs=1e-4)
     assert f_star < f_zero
@@ -258,10 +260,10 @@ def test_gaussian_talagrand():
         assert w2 * w2 <= 4 * (s2 / 2) * kl * 1.05 + 1e-9
 
 
-def test_entropy_sandwich_on_mixtures(dw03, sc03, m_plus):
+def test_entropy_sandwich_on_mixtures(dw03, m_plus):
     lam = dw03.theta
     s2 = dw03.sigma2
-    rho_star = sc03.density(m_plus, -4, 4, 512)
+    rho_star = mk.equilibrium_for_mean(dw03, m_plus, -4, 4, 512)
     f_star = mk.free_energy(dw03, rho_star)
     rng = np.random.default_rng(41)
     for _ in range(15):
@@ -305,8 +307,8 @@ def test_phase_grid_marginals_consistent(dw03):
         np.sum(rho.values) * rho.da, rel=1e-12)
 
 
-def test_kinetic_free_energy_product_additivity(dw03, sc03, m_plus):
-    rho_x = sc03.density(m_plus, -3.5, 3.5, 64)
+def test_kinetic_free_energy_product_additivity(dw03, m_plus):
+    rho_x = mk.equilibrium_for_mean(dw03, m_plus, -3.5, 3.5, 64)
     s2 = dw03.sigma2
     rho = maxwellian_product(dw03, mean=m_plus)
     # replace x-profile with the self-consistent density to get the product

@@ -9,24 +9,23 @@ import oracle_values as ov
 # ---- self-consistent density family -------------------------------------------
 
 
-def test_density_even_at_zero_mean(sc03):
-    rho = sc03.density(0.0, -4, 4, 512)
+def test_density_even_at_zero_mean(dw03):
+    rho = mk.equilibrium_for_mean(dw03, 0.0, -4, 4, 512)
     assert np.max(np.abs(rho.values - rho.values[::-1])) <= 1e-12
 
 
 def test_density_gaussian_case_quadratic_potential():
     model = mk.standard_model(0.8, 0.5, potential=Potential.quadratic())
-    sc = SelfConsistency1D(model)
     m = 0.6
-    rho = sc.density(m, -6, 6, 2048)
+    rho = mk.equilibrium_for_mean(model, m, -6, 6, 2048)
     # completing the square: mean 2*theta*m/(1+2*theta), var sigma2/(1+2*theta)
     assert rho.mean() == pytest.approx(2 * 0.8 * m / (1 + 1.6), abs=1e-3)
     assert rho.variance() == pytest.approx(0.5 / (1 + 1.6), abs=1e-3)
 
 
-def test_density_matches_local_equilibrium(dw03, sc03):
+def test_density_matches_local_equilibrium(dw03):
     m = 0.37
-    rho = sc03.density(m, -4, 4, 512)
+    rho = mk.equilibrium_for_mean(dw03, m, -4, 4, 512)
     bump = mk.DensityGrid1D.gaussian(-4, 4, 512, m, 0.5)
     gam = mk.local_equilibrium(dw03, bump)
     # not identical (bump mean has truncation bias ~1e-12) but L1-close
@@ -239,12 +238,12 @@ def test_degeneracy_bound_rejects_off_critical(sc03):
 
 def test_localization_jacobian_frozen_values(dw03):
     for s2, expect in ov.LOC_JAC.items():
-        val = mk.localization_jacobian(dw03, 1.0, s2)
+        val = mk.localization_jacobian(dw03.with_sigma2(s2), 1.0)
         assert val == pytest.approx(expect, abs=1e-6)
 
 
 def test_localization_jacobian_approaches_low_temperature_limit(dw03):
-    vals = [mk.localization_jacobian(dw03, 1.0, s2)
+    vals = [mk.localization_jacobian(dw03.with_sigma2(s2), 1.0)
             for s2 in (0.2, 0.1, 0.05)]
     assert np.all(np.diff(vals) < 0)
     assert all(v < 1 for v in vals)
@@ -255,14 +254,14 @@ def test_localization_rejects_when_no_local_fixed_point(dw03):
     from mckeanflow.meanfield import LocalizationError
     # high temperature: no fixed point near the well at a=1
     with pytest.raises(LocalizationError):
-        mk.localization_jacobian(dw03, 1.0, 1.5)
+        mk.localization_jacobian(dw03.with_sigma2(1.5), 1.0)
 
 
 def test_localization_two_wells_give_two_fixed_points():
     pot = Potential.multi_well([(1.0, 0.0, 1.3)])
     model = mk.standard_model(1.0, 0.05, potential=pot)
-    left = mk.localization_jacobian(model, -1.3, 0.05)
-    right = mk.localization_jacobian(model, 1.3, 0.05)
+    left = mk.localization_jacobian(model, -1.3)
+    right = mk.localization_jacobian(model, 1.3)
     assert left == pytest.approx(right, rel=1e-6)
     assert 0 < left < 1
 

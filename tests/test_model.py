@@ -21,7 +21,7 @@ def test_potential_gradient_matches_finite_differences():
     h = 1e-6
     xs = np.linspace(-3.0, 3.0, 61)
     for p in (Potential.double_well(), Potential.quadratic(),
-              Potential.polynomial([0.0, 0.3, -0.5, 0.0, 0.25])):
+              Potential([0.0, 0.3, -0.5, 0.0, 0.25])):
         fd = (p.value(xs + h) - p.value(xs - h)) / (2 * h)
         scale = np.maximum(1.0, np.abs(p.grad(xs)))
         assert np.max(np.abs(p.grad(xs) - fd) / scale) <= 1e-6
@@ -30,7 +30,7 @@ def test_potential_gradient_matches_finite_differences():
 def test_cached_derivatives_match_polyder_bit_for_bit():
     xs = np.linspace(-3.0, 3.0, 61)
     for p in (Potential.double_well(), Potential.quadratic(),
-              Potential.polynomial([0.0, 0.3, -1.0, 0.0, 0.0, 0.0, 0.1]),
+              Potential([0.0, 0.3, -1.0, 0.0, 0.0, 0.0, 0.1]),
               Potential.multi_well([(0.5, -1.0, 0.5), (0.3, 1.0, 0.8)])):
         for _ in range(2):  # the first pass fills the cache
             for x in (0.7, -2.25, xs):
@@ -38,9 +38,8 @@ def test_cached_derivatives_match_polyder_bit_for_bit():
                     want = P.polyval(x, P.polyder(p.coefficients, k))
                     assert np.array_equal(fn(x), want)
                     assert np.shape(fn(x)) == np.shape(want)
-        twin = Potential(p.coefficients, label=p.label)
+        twin = Potential(p.coefficients)
         assert p == twin and hash(p) == hash(twin)
-        assert p != Potential(p.coefficients, label="other")
 
 
 def test_hess_inf_refines_to_stable_value():
@@ -81,7 +80,7 @@ def _grid_min_hess(p, lo, hi, depth=3):
 def test_hess_inf_matches_dense_grid(half_degree, coeffs, lead, lo, width,
                                      kind):
     degree = 2 * half_degree
-    p = Potential.polynomial(coeffs[:degree] + [lead])
+    p = Potential(coeffs[:degree] + [lead])
     hi = lo + width
     # every root of V''' lies within its Cauchy bound, and beyond it V''
     # is monotone, so a window reaching past the bound holds the infimum
@@ -117,7 +116,7 @@ def test_hess_inf_near_coincident_roots(a, log_gap, b, quintic, low, lo, hi,
     d3 = np.polynomial.polynomial.polyfromroots(roots)
     if quintic:
         d3 = np.polynomial.polynomial.polymul(d3, [0.5, 0.0, 1.0])
-    p = Potential.polynomial(np.polynomial.polynomial.polyint(d3, 3, k=low))
+    p = Potential(np.polynomial.polynomial.polyint(d3, 3, k=low))
     lo = -np.inf if kind == "left" else lo
     hi = np.inf if kind == "right" else hi
     bound = p.hess_inf(lo, hi)
@@ -140,7 +139,7 @@ def test_hess_inf_holds_when_root_is_off(monkeypatch):
 def test_four_well_curvature_minimum():
     # V''(+-1) already clears V''(0) = -1 by more than 1, but the deepest
     # concave region sits at the outer barriers, x = +-2.3154
-    p = Potential.polynomial(
+    p = Potential(
         np.array([0.0, 0.0, -18.0, 0.0, 49 / 4, 0.0, -7 / 3, 0.0, 1 / 8])
         / 36.0)
     assert p.hess_inf_global() == pytest.approx(-5.03381789, abs=1e-8)
@@ -164,9 +163,9 @@ def test_multi_well_is_sum_of_shifted_quartics():
 
 def test_polynomial_rejects_bad_leading_term():
     with pytest.raises(ModelError):
-        Potential.polynomial([0.0, 0.0, 0.0, 1.0])  # odd leading power
+        Potential([0.0, 0.0, 0.0, 1.0])  # odd leading power
     with pytest.raises(ModelError):
-        Potential.polynomial([0.0, 0.0, 0.0, 0.0, -1.0])  # negative leading
+        Potential([0.0, 0.0, 0.0, 0.0, -1.0])  # negative leading
 
 
 def test_model_config_validation():
@@ -207,30 +206,17 @@ def test_drift_odd_about_zero_mean(dw03):
     assert np.max(np.abs(d + d_neg)) == 0.0
 
 
-# ---- per-measure potential ---------------------------------------------------
-
-
-def test_mean_field_potential_no_interaction():
-    m = mk.standard_model(0.0, 1.0)
-    assert mk.mean_field_potential(m, 1.0, 3.0, 10.0) == pytest.approx(-0.25)
-
-
-def test_mean_field_potential_with_interaction(dw03):
-    v = mk.mean_field_potential(dw03, 0.0, 0.0, 1.0)
-    assert v == pytest.approx(1.0)
-
-
-def test_mean_field_potential_rejects_bad_moments(dw03):
-    with pytest.raises(ModelError):
-        mk.mean_field_potential(dw03, 0.0, mean=2.0, second_moment=1.0)
-
-
 def test_mean_field_potential_slope_is_minus_drift(dw03):
+    # the frozen single-particle energy V(x) + theta*(x - mean)**2, up to
+    # a constant that depends on the measure alone
     h = 1e-6
     xs = np.linspace(-3, 3, 121)
-    mean, m2 = 0.4, 1.1
-    fd = (mk.mean_field_potential(dw03, xs + h, mean, m2)
-          - mk.mean_field_potential(dw03, xs - h, mean, m2)) / (2 * h)
+    mean = 0.4
+
+    def energy(x):
+        return dw03.potential.value(x) + dw03.theta * (x - mean) ** 2
+
+    fd = (energy(xs + h) - energy(xs - h)) / (2 * h)
     target = -mk.drift(dw03, xs, mean)
     assert np.max(np.abs(fd - target) / np.maximum(1, np.abs(target))) <= 1e-6
 

@@ -15,6 +15,9 @@ def test_ensemble_validation():
         ParticleEnsemble("overdamped", np.array([0.0, np.inf]))
     with pytest.raises(ParticleError):
         ParticleEnsemble("overdamped", np.zeros((8, 2)))
+    # every overdamped step would ignore them
+    with pytest.raises(ParticleError, match="no velocities"):
+        ParticleEnsemble("overdamped", np.zeros(8), [1.0] * 3)
     ens = ParticleEnsemble("kinetic", np.zeros(8))
     assert ens.velocities.shape == (8,)
     for T in (0.0, -1.0, np.nan):
@@ -49,6 +52,19 @@ def test_seed_prefix_stability_across_n():
     # growing the ensemble must not perturb the first draws
     a = ParticleEnsemble.gaussian("overdamped", 64, 0.0, 1.0, seed=9)
     b = ParticleEnsemble.gaussian("overdamped", 256, 0.0, 1.0, seed=9)
+    assert np.array_equal(a.positions, b.positions[:64])
+
+
+def test_kinetic_draw_from_density(rho_star_512):
+    # the velocities come from the stream gaussian draws them from, and the
+    # positions are the prefix of a larger draw
+    a, b = (ParticleEnsemble.from_density("kinetic", n, rho_star_512, seed=9,
+                                          sigma2_velocity=0.3)
+            for n in (64, 256))
+    g = ParticleEnsemble.gaussian("kinetic", 64, 0.0, 1.0, seed=9,
+                                  sigma2_velocity=0.3)
+    assert np.std(a.velocities) > 0
+    assert np.array_equal(a.velocities, g.velocities)
     assert np.array_equal(a.positions, b.positions[:64])
 
 
@@ -111,8 +127,7 @@ def test_kinetic_position_variance_quadratic_potential():
 def test_kinetic_boundedness_long_run(dw03):
     ens = ParticleEnsemble.gaussian("kinetic", 256, 0.8, 0.3, seed=7,
                                     sigma2_velocity=0.3)
-    log = mk.run_particles(ens, dw03, dt=1e-3, T=100.0, record_every=10000,
-                           with_proxy=False)
+    log = mk.run_particles(ens, dw03, dt=1e-3, T=100.0, record_every=10000)
     assert np.all(np.isfinite(ens.positions))
     assert np.max(np.abs(ens.positions)) < 10.0
     assert np.max(np.abs(log.column("mean"))) < 5.0

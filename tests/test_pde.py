@@ -524,7 +524,7 @@ def test_vfp_steps_above_force_bound(dt):
 _POTENTIALS = (
     Potential.double_well(),
     Potential.quadratic(),
-    Potential.polynomial([0.0, 0.3, -1.0, 0.0, 0.0, 0.0, 0.1]),
+    Potential([0.0, 0.3, -1.0, 0.0, 0.0, 0.0, 0.1]),
     Potential.multi_well([(0.5, -1.0, 0.5), (0.3, 1.0, 0.8)]),
 )
 
