@@ -315,12 +315,10 @@ def run_phase_diagram(cfg: PhaseDiagramCfg, ctx: RunContext):
     for s2 in cfg.sigma2_values:
         model = standard_model(cfg.theta, s2, pot)
         sc = SelfConsistency1D(model)
-        lines = ["m,f,fprime,g"]
-        for m in ms:
-            logz, mean, var = sc.moments(float(m))
-            fprime = 2.0 * model.theta / s2 * var
-            lines.append("%.17g,%.17g,%.17g,%.17g"
-                         % (m, mean, fprime, -s2 * logz))
+        logz, mean, var = sc.moments(ms)
+        fprime = 2.0 * model.theta / s2 * var
+        lines = ["m,f,fprime,g"] + ["%.17g,%.17g,%.17g,%.17g" % row for row
+                                    in zip(ms, mean, fprime, -s2 * logz)]
         outputs["phase_sigma2_%g.csv" % s2] = "\n".join(lines) + "\n"
         count = len(find_fixed_points(sc).points)
         summary.append({"sigma2": s2, "fixed_point_count": count})

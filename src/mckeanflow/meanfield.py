@@ -11,10 +11,13 @@ and the one-dimensional reduction of the free energy along the family is
     g(m) = -sigma2 * log int exp(-(V(x) + theta*(x-m)**2)/sigma2) dx,
 
 with g'(m) = 2*theta*(m - f(m)).  This module evaluates f, f', g with
-composite Gauss-Legendre quadrature, locates fixed points, the critical
-temperature where f'(0) = 1, contraction factors toward the outer fixed
-point, the cubic degeneracy at the critical temperature, and the
-low-temperature localization of fixed points near potential minima.
+composite Gauss-Legendre quadrature on panels sized from the Gibbs width
+sqrt(sigma2/(V'' + 2*theta)), for one mean or an array of means per call;
+each mean's values depend on the model and that mean only.  It locates
+fixed points, the critical temperature where f'(0) = 1, contraction
+factors toward the outer fixed point, the cubic degeneracy at the critical
+temperature, and the low-temperature localization of fixed points near
+potential minima.
 """
 
 from __future__ import annotations
@@ -22,15 +25,22 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 from scipy.optimize import brentq
 
 from .grid import equilibrium_for_mean
 from .model import ModelConfig
 
 _TAIL_LOG = np.log(1e-14)
-# quadrature radii: a query uses the first that holds its tails; the last,
-# 6 * 2**7 = 768, has 614 400 nodes
+# quadrature radii: a mean uses the first that holds its tails
 _RADII = tuple(6.0 * 2.0 ** k for k in range(8))
+# panel width in Gibbs widths sqrt(sigma2/kappa), capped at 1
+_PANEL_WIDTHS = 8.0
+# panels on one radius at most, so that no node set holds more nodes than
+# panels of width 0.1 on the widest radius
+_MAX_PANELS = 15360
+# (mean, node) pairs evaluated at once, which bounds the batch temporaries
+_PAIRS = 32768
 
 
 class MeanFieldError(ValueError):
@@ -44,13 +54,18 @@ class LocalizationError(MeanFieldError):
 class SelfConsistency1D:
     """Quadrature-backed evaluation of the local-equilibrium family.
 
-    Composite Gauss-Legendre quadrature with 40 nodes on each panel of
-    length 0.1 (400 per unit length) on [-R, R].  A query at mean m takes
-    the first R in 6, 12, 24, ..., 768 with |m| + 1 < R at which the
+    Composite Gauss-Legendre quadrature with 40 nodes per panel on [-R, R]
+    for R in 6, 12, 24, ..., 768.  The panels on [-R, R] are 8 Gibbs widths
+    sqrt(sigma2/kappa_R) wide, at most 1, where kappa_R is the largest
+    V'' + 2*theta where some rho_m with |m| < R - 1 is above 1e-14 of its
+    peak.  No radius takes more than 15 360 panels (614 400 nodes, what
+    panels of width 0.1 take on R = 768), so panels are never narrower
+    than R/7680.  A mean m takes the first R with |m| + 1 < R at which the
     integrand at both ends is below 1e-14 relative to its peak, so
     moments and log-partition values carry no visible truncation bias and
-    depend on (model, m) only.  Tails wider than R = 768 raise
-    MeanFieldError, as does a model whose V + theta*x**2 is not confining.
+    depend on (model, m) only, whatever other means share the call.  Tails
+    wider than R = 768 raise MeanFieldError, as does a model whose
+    V + theta*x**2 is not confining.
     """
 
     def __init__(self, model: ModelConfig):
@@ -61,63 +76,119 @@ class SelfConsistency1D:
             raise MeanFieldError("V + theta*x**2 is not confining; the "
                                  "Gibbs family is not normalizable")
         self.model = model
-        self._panel = 0.1
         self._node_sets: dict[float, tuple[np.ndarray, ...]] = {}
 
+    def _panel_width(self, radius: float) -> float:
+        """Panel width on [-radius, radius].
+
+        The family is ordered in m, so the means +-(radius - 1) and 0 bound
+        the hull of the points where some rho_m with |m| < radius - 1 is
+        above the tail level.  Its ends are the outer real roots of
+        E_m - min E_m - tail level, E_m = V + theta*(x - m)**2; the largest
+        V'' on it sits at an end or at a root of V'''.
+        """
+        pot, th, s2 = self.model.potential, self.model.theta, self.model.sigma2
+        ends = []
+        for m in (1.0 - radius, 0.0, radius - 1.0):
+            e = P.polyadd(pot.coefficients, (th * m * m, -2.0 * th * m, th))
+            crit = P.polyroots(P.polyder(e)).real
+            x_min = crit[np.argmin(P.polyval(crit, e))]
+            r = P.polyroots(P.polysub(
+                e, (P.polyval(x_min, e) - _TAIL_LOG * s2,)))
+            # a near-real pair counts as real: it can only widen the hull
+            real = np.abs(r.imag) <= 1e-6 * (1.0 + np.abs(r.real))
+            ends += [x_min, *r.real[real]]
+        lo, hi = max(min(ends), -radius), min(max(ends), radius)
+        d3 = P.polyroots(P.polyder(pot.coefficients, 3)).real
+        xs = np.concatenate(([lo, hi], d3[(d3 > lo) & (d3 < hi)]))
+        kappa = float(np.max(pot.hess(xs))) + 2.0 * th
+        if kappa <= 0:
+            return 1.0
+        return min(1.0, _PANEL_WIDTHS * float(np.sqrt(s2 / kappa)))
+
     def _node_set(self, radius: float) -> tuple[np.ndarray, ...]:
-        """(nodes, weights, V at the nodes) on [-radius, radius]."""
+        """(nodes, weights, V/sigma2 at the nodes) on [-radius, radius]."""
         if radius not in self._node_sets:
-            n_panels = int(np.ceil(2.0 * radius / self._panel))
+            n_panels = min(_MAX_PANELS, int(np.ceil(
+                2.0 * radius / self._panel_width(radius))))
             z, w = np.polynomial.legendre.leggauss(40)
-            lefts = -radius + np.arange(n_panels) * self._panel
-            half = 0.5 * self._panel
-            nodes = (lefts[:, None] + half * (z[None, :] + 1.0)).ravel()
-            weights = np.tile(w * half, n_panels)
-            self._node_sets[radius] = (nodes, weights,
-                                       self.model.potential.value(nodes))
+            half = radius / n_panels
+            lefts = -radius + 2.0 * half * np.arange(n_panels)
+            nodes = (lefts[:, None] + half * (z + 1.0)).ravel()
+            weights = np.tile(half * w, n_panels)
+            self._node_sets[radius] = (
+                nodes, weights,
+                self.model.potential.value(nodes) / self.model.sigma2)
         return self._node_sets[radius]
 
-    def _tail_fit(self, m: float
-                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-        """Nodes, weights, log integrand less its peak, and the peak, on
-        the first radius that holds the tails at mean m."""
-        th = self.model.theta
-        for radius in _RADII:
-            x, w, v = self._node_set(radius)
-            logu = -(v + th * (x - m) ** 2) / self.model.sigma2
-            peak = float(logu.max())
-            edge = max(logu[0], logu[-1])
-            if edge - peak < _TAIL_LOG and abs(m) + 1.0 < radius:
-                return x, w, logu - peak, peak
-        raise MeanFieldError("rho_m at m=%.6g has tails beyond |x| = %g, "
-                             "the widest quadrature domain"
-                             % (m, _RADII[-1]))
-
-    def moments(self, m: float) -> tuple[float, float, float]:
+    def moments(self, m: float | np.ndarray) -> tuple:
         """(log-partition value, mean, variance) of rho_m.
 
-        The peak shift used for overflow safety is added back, so the
-        first entry is the true log Z.
+        m is one mean, which gives three floats, or an array of means,
+        which gives three arrays of its shape.  Each mean is reduced on
+        its own row, so its values do not depend on the other means in
+        the call.  The peak shift used for overflow safety is added back,
+        so the first entry is the true log Z.
         """
-        x, weights, shifted, peak = self._tail_fit(m)
-        u = weights * np.exp(shifted)
-        z = u.sum()
-        mean = float(np.dot(x, u) / z)
-        var = float(np.dot((x - mean) ** 2, u) / z)
-        return peak + float(np.log(z)), mean, var
+        ms = np.asarray(m, dtype=float)
+        flat = ms.ravel()
+        if not np.all(np.isfinite(flat)):
+            raise MeanFieldError("m must be finite")
+        c = self.model.theta / self.model.sigma2
+        out = np.empty((3, flat.size))
+        left = np.ones(flat.size, dtype=bool)
+        for radius in _RADII:
+            if not left.any():
+                break
+            rows = np.flatnonzero(left & (np.abs(flat) + 1.0 < radius))
+            if not rows.size:
+                continue
+            x, w, q = self._node_set(radius)
+            step = max(1, _PAIRS // x.size)
+            for start in range(0, rows.size, step):
+                idx = rows[start:start + step]
+                # e = (V + theta*(x - m)**2)/sigma2, low its minimum
+                d = x - flat[idx, None]
+                e = d * d
+                e *= c
+                e += q
+                low = e.min(axis=1)
+                held = np.minimum(e[:, 0], e[:, -1]) - low > -_TAIL_LOG
+                if not held.all():
+                    idx, d, e, low = idx[held], d[held], e[held], low[held]
+                np.subtract(low[:, None], e, out=e)
+                np.exp(e, out=e)
+                e *= w
+                # row-wise sums: a matrix product may sum in an order that
+                # depends on the batch shape
+                z = e.sum(axis=1)
+                shift = (e * d).sum(axis=1) / z
+                d -= shift[:, None]
+                d *= d
+                d *= e
+                out[:, idx] = (np.log(z) - low, flat[idx] + shift,
+                               d.sum(axis=1) / z)
+                left[idx] = False
+        if left.any():
+            raise MeanFieldError("rho_m at m=%.6g has tails beyond |x| = %g, "
+                                 "the widest quadrature domain"
+                                 % (flat[left][0], _RADII[-1]))
+        if ms.ndim == 0:
+            return float(out[0, 0]), float(out[1, 0]), float(out[2, 0])
+        return tuple(out.reshape((3,) + ms.shape))
 
     # ---- the scalar reduction ---------------------------------------------
 
-    def mean_map(self, m: float) -> float:
+    def mean_map(self, m: float | np.ndarray) -> float | np.ndarray:
         """f(m): mean of the Gibbs density with frozen mean m."""
         return self.moments(m)[1]
 
-    def mean_map_derivative(self, m: float) -> float:
+    def mean_map_derivative(self, m: float | np.ndarray) -> float | np.ndarray:
         """f'(m) = (2*theta/sigma2) * Var(rho_m), a covariance identity."""
         _, _, var = self.moments(m)
         return 2.0 * self.model.theta / self.model.sigma2 * var
 
-    def effective_potential(self, m: float) -> float:
+    def effective_potential(self, m: float | np.ndarray) -> float | np.ndarray:
         """g(m) = -sigma2 * log Z(m); g'(m) = 2*theta*(m - f(m))."""
         logz, _, _ = self.moments(m)
         return -self.model.sigma2 * logz
@@ -169,7 +240,7 @@ def find_fixed_points(sc: SelfConsistency1D) -> FixedPointSet:
     else:
         raise MeanFieldError("could not bracket all fixed points")
     grid = np.linspace(lo, hi, 2048)
-    vals = np.array([h(m) for m in grid])
+    vals = h(grid)
     roots: list[float] = []
     for i in range(len(grid) - 1):
         a, b = vals[i], vals[i + 1]
@@ -232,21 +303,14 @@ def contraction_factor(sc: SelfConsistency1D, epsilon: float,
         raise MeanFieldError("epsilon must be below the outer fixed point")
     m_far = max(2.0 * m_plus + 2.0, epsilon + 1.0)
     grid = np.linspace(epsilon, m_far, 4096)
-    best = sc.mean_map_derivative(m_plus)
-    for m in grid:
-        if abs(m - m_plus) < 1e-9:
-            continue
-        ratio = (sc.mean_map(m) - m_plus) / (m - m_plus)
-        if ratio > best:
-            best = float(ratio)
+    grid = grid[np.abs(grid - m_plus) >= 1e-9]
+    ratios = (sc.mean_map(grid) - m_plus) / (grid - m_plus)
+    best = max(sc.mean_map_derivative(m_plus), float(ratios.max()))
     # tail control
-    d_prev = sc.mean_map_derivative(m_far)
-    for m in np.geomspace(m_far, 8.0 * m_far, 12)[1:]:
-        d = sc.mean_map_derivative(m)
-        if d > d_prev + 1e-10:
-            raise MeanFieldError("mean-map slope not decreasing beyond the "
-                                 "sweep window; enlarge it")
-        d_prev = d
+    d = sc.mean_map_derivative(np.geomspace(m_far, 8.0 * m_far, 12))
+    if np.any(d[1:] > d[:-1] + 1e-10):
+        raise MeanFieldError("mean-map slope not decreasing beyond the "
+                             "sweep window; enlarge it")
     if best >= 1.0:
         raise MeanFieldError("contraction factor not below 1")
     return best
@@ -271,7 +335,7 @@ def degeneracy_bound(sc: SelfConsistency1D) -> DegenerateFit:
     if abs(sc.mean_map_derivative(0.0) - 1.0) > 1e-4:
         raise MeanFieldError("not at the critical temperature: f'(0) != 1")
     ms = np.linspace(0.02, 0.4, 40)
-    d = np.array([m - sc.mean_map(m) for m in ms])
+    d = ms - sc.mean_map(ms)
     basis = np.stack([ms ** 3, ms ** 5], axis=1)
     coef, *_ = np.linalg.lstsq(basis, d, rcond=None)
     s = float(coef[0])
@@ -279,12 +343,9 @@ def degeneracy_bound(sc: SelfConsistency1D) -> DegenerateFit:
         raise MeanFieldError("cubic degeneracy coefficient is not positive")
     resid = float(np.max(np.abs(basis @ coef - d)) / np.max(np.abs(d)))
     grid = np.linspace(-3.0, 3.0, 601)
-    beta = 0.0
-    for m in grid:
-        if abs(m) < 1e-3:
-            continue
-        gap = abs(m - sc.mean_map(m))
-        beta = max(beta, abs(m) / (gap + gap ** (1.0 / 3.0)))
+    grid = grid[np.abs(grid) >= 1e-3]
+    gap = np.abs(grid - sc.mean_map(grid))
+    beta = np.max(np.abs(grid) / (gap + gap ** (1.0 / 3.0)))
     return DegenerateFit(beta=float(beta), cubic_coefficient=s,
                          fit_residual=resid)
 

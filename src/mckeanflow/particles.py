@@ -75,6 +75,8 @@ class ParticleEnsemble:
                 self.velocities = np.array(self.velocities, dtype=float)
             if self.velocities.shape != self.positions.shape:
                 raise ParticleError("velocity shape mismatch")
+            if not np.all(np.isfinite(self.velocities)):
+                raise ParticleError("velocities must be finite")
         elif self.velocities is not None:
             raise ParticleError("an overdamped ensemble has no velocities")
 
@@ -89,12 +91,8 @@ class ParticleEnsemble:
                  seed: int, sigma2_velocity: float = 0.0
                  ) -> "ParticleEnsemble":
         x = mean + std * _stream(seed, _INIT_STREAM).standard_normal(n)
-        v = None
-        if mode == "kinetic":
-            # separate stream so position draws stay N-prefix-stable
-            v = (np.sqrt(sigma2_velocity)
-                 * _stream(seed, _INIT_STREAM + 1).standard_normal(n))
-        return cls(mode, x, v, rng_seed=seed)
+        return cls(mode, x, _velocities(mode, n, seed, sigma2_velocity),
+                   rng_seed=seed)
 
     @classmethod
     def from_density(cls, mode: str, n: int, rho: DensityGrid1D, seed: int,
@@ -102,11 +100,20 @@ class ParticleEnsemble:
         """Inverse-CDF draw of n positions from a grid density."""
         u = _stream(seed, _INIT_STREAM).random(n)
         x = quantiles_at(rho, u)
-        v = None
-        if mode == "kinetic":
-            v = (np.sqrt(sigma2_velocity)
-                 * _stream(seed, _INIT_STREAM + 1).standard_normal(n))
-        return cls(mode, x, v, rng_seed=seed)
+        return cls(mode, x, _velocities(mode, n, seed, sigma2_velocity),
+                   rng_seed=seed)
+
+
+def _velocities(mode: str, n: int, seed: int,
+                sigma2_velocity: float) -> np.ndarray | None:
+    """Initial velocities, N(0, sigma2_velocity) each; None unless kinetic."""
+    if mode != "kinetic":
+        return None
+    if not sigma2_velocity >= 0:
+        raise ParticleError("sigma2_velocity must be non-negative")
+    # separate stream so position draws stay N-prefix-stable
+    return (np.sqrt(sigma2_velocity)
+            * _stream(seed, _INIT_STREAM + 1).standard_normal(n))
 
 
 def _post_update_check(x: np.ndarray) -> None:

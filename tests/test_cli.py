@@ -231,6 +231,9 @@ def test_domain_error_exit_2(tmp_path, capsys):
         # the stationary density's edge cells carry 2.7e-2 of its mass
         ("certificate", {"model": model, "x_lo": -1.0, "x_hi": 1.0,
                          "grid_n": 64, "n_runs": 1}, "mass 2.69e-02"),
+        # a non-finite mean is refused before any quadrature is built
+        ("phase-diagram", {"theta": 1.0, "sigma2_values": [0.3],
+                           "m_lo": float("-inf")}, "m must be finite"),
         # every <name>_lo must lie below its <name>_hi
         ("phase-diagram", {"theta": 1.0, "sigma2_values": [0.3],
                            "m_lo": 1.0, "m_hi": -1.0}, "need m_lo < m_hi"),

@@ -1,9 +1,46 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 import mckeanflow as mk
 from mckeanflow import MeanFieldError, Potential, SelfConsistency1D
 import oracle_values as ov
+
+# (x^8/8 - 7x^6/3 + 49x^4/4 - 18x^2)/36: minima at +-1 and +-3
+FOUR_WELL = Potential(
+    np.array([0.0, 0.0, -18.0, 0.0, 49 / 4, 0.0, -7 / 3, 0.0, 1 / 8]) / 36.0)
+POTENTIALS = {
+    "double well": Potential.double_well(),
+    "four-well": FOUR_WELL,
+    "quadratic": Potential.quadratic(),
+    "multi-well": Potential.multi_well([(1.0, -1.0, 0.6), (0.7, 1.2, 0.5)]),
+}
+
+
+def fixed_rule_moments(model, m):
+    """(log Z, mean, variance) of rho_m by the fixed rule: 40
+    Gauss-Legendre nodes on each panel of length 0.1 on [-R, R], with R the
+    first of 6, 12, 24, ..., 768 above |m| + 1 at which the integrand at
+    both ends is below 1e-14 of its peak."""
+    z, w = np.polynomial.legendre.leggauss(40)
+    for radius in 6.0 * 2.0 ** np.arange(8):
+        if abs(m) + 1.0 >= radius:
+            continue
+        lefts = -radius + 0.1 * np.arange(int(np.ceil(2.0 * radius / 0.1)))
+        x = (lefts[:, None] + 0.05 * (z + 1.0)).ravel()
+        logu = -(model.potential.value(x)
+                 + model.theta * (x - m) ** 2) / model.sigma2
+        peak = logu.max()
+        if max(logu[0], logu[-1]) - peak < np.log(1e-14):
+            u = np.tile(0.05 * w, len(lefts)) * np.exp(logu - peak)
+            mass = u.sum()
+            mean = np.dot(x, u) / mass
+            return (peak + np.log(mass), mean,
+                    np.dot((x - mean) ** 2, u) / mass)
+    raise AssertionError("tails beyond the widest radius")
 
 
 # ---- self-consistent density family -------------------------------------------
@@ -51,9 +88,11 @@ def test_mean_map_increasing_and_bounded(sc03):
 
 def test_mean_map_is_history_free(dw03):
     # a contraction_factor call queries means far out in the tails; the
-    # values at other means must not depend on it
+    # values at other means must not depend on it, nor on the other means
+    # of one call: 241 means span five chunks of rows, and the last three
+    # take the radii 12, 24 and 192
     sc = SelfConsistency1D(dw03)
-    ms = np.linspace(-3.0, 3.0, 41)
+    ms = np.concatenate((np.linspace(-3.0, 3.0, 241), [-7.5, 20.0, 100.0]))
 
     def values():
         return [(sc.mean_map(m), sc.mean_map_derivative(m),
@@ -62,6 +101,76 @@ def test_mean_map_is_history_free(dw03):
     before = values()
     mk.contraction_factor(sc, 0.05)
     assert values() == before
+    one_by_one = np.array([sc.moments(m) for m in ms]).T
+    assert np.array_equal(np.array(sc.moments(ms)), one_by_one)
+    fresh = SelfConsistency1D(dw03)
+    fresh.moments(500.0)
+    shuffled = np.random.default_rng(5).permutation(ms.size)
+    for order in (shuffled, np.arange(ms.size)[::-1]):
+        batch = np.empty_like(one_by_one)
+        batch[:, order] = fresh.moments(ms[order])
+        assert np.array_equal(batch, one_by_one)
+
+
+@settings(max_examples=200, deadline=None)
+@given(name=st.sampled_from(sorted(POTENTIALS)), theta=st.floats(-0.5, 3.0),
+       sigma2=st.floats(0.01, 5.0), m=st.floats(-5.0, 5.0))
+@example(name="four-well", theta=3.0, sigma2=0.01, m=5.0)
+@example(name="multi-well", theta=3.0, sigma2=0.01, m=-5.0)
+@example(name="quadratic", theta=-0.45, sigma2=5.0, m=5.0)
+def test_moments_match_the_fixed_rule(name, theta, sigma2, m):
+    # the quadratic potential needs theta > -0.5 to confine; the margin keeps
+    # its tails within the radius 96
+    assume(name != "quadratic" or theta >= -0.45)
+    model = mk.standard_model(theta, sigma2, potential=POTENTIALS[name])
+    logz, mean, var = SelfConsistency1D(model).moments(m)
+    ref_logz, ref_mean, ref_var = fixed_rule_moments(model, m)
+    assert abs(logz - ref_logz) <= 1e-12 * (1.0 + abs(ref_logz))
+    assert abs(mean - ref_mean) <= 1e-12 * (1.0 + abs(m))
+    assert abs(var - ref_var) <= 1e-11 * ref_var
+
+
+def test_moments_refuse_non_finite_means(dw03):
+    # refused before any node set is built: the widest holds 614 400 nodes
+    sc = SelfConsistency1D(dw03)
+    tracemalloc.start()
+    try:
+        for m in (np.nan, np.inf, -np.inf, [0.0, np.nan]):
+            with pytest.raises(MeanFieldError, match="m must be finite"):
+                sc.moments(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+
+
+def test_far_mean_node_set_stays_bounded():
+    # the Gibbs width at m = 700 asks for 19 million nodes on [-768, 768];
+    # the node set stops at 614 400, as many as panels of width 0.1 take
+    sc = SelfConsistency1D(mk.standard_model(3.0, 0.001, potential=FOUR_WELL))
+    tracemalloc.start()
+    try:
+        _, mean, _ = sc.moments(700.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 5.0 < mean < 6.0
+    assert peak < 64e6
+
+
+def test_find_fixed_points_scans_in_one_call(dw03, monkeypatch):
+    # the 2048-point scan is one array call; brentq refines one mean a call
+    sizes = []
+    moments = SelfConsistency1D.moments
+
+    def counted(self, m):
+        sizes.append(np.size(m))
+        return moments(self, m)
+
+    monkeypatch.setattr(SelfConsistency1D, "moments", counted)
+    assert len(mk.find_fixed_points(SelfConsistency1D(dw03)).points) == 3
+    assert len(sizes) < 100
+    assert max(sizes) == 2048
 
 
 def test_mean_map_refuses_unbounded_tails():

@@ -20,6 +20,18 @@ def test_ensemble_validation():
         ParticleEnsemble("overdamped", np.zeros(8), [1.0] * 3)
     ens = ParticleEnsemble("kinetic", np.zeros(8))
     assert ens.velocities.shape == (8,)
+    # a nan velocity used to pass here and fail the first step as a dt error
+    for v in (np.nan, np.inf):
+        with pytest.raises(ParticleError, match="velocities must be finite"):
+            ParticleEnsemble("kinetic", np.zeros(8), [0.0] * 7 + [v])
+    rho = mk.DensityGrid1D.gaussian(-4.0, 4.0, 64, 0.0, 1.0)
+    for s2v in (-0.3, np.nan):
+        with pytest.raises(ParticleError, match="sigma2_velocity"):
+            ParticleEnsemble.gaussian("kinetic", 64, 0.0, 1.0, seed=1,
+                                      sigma2_velocity=s2v)
+        with pytest.raises(ParticleError, match="sigma2_velocity"):
+            ParticleEnsemble.from_density("kinetic", 64, rho, seed=1,
+                                          sigma2_velocity=s2v)
     for T in (0.0, -1.0, np.nan):
         with pytest.raises(ParticleError, match="T must be positive"):
             mk.run_particles(ens, mk.standard_model(1.0, 0.3), 1e-3, T)
