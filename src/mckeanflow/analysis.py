@@ -93,13 +93,19 @@ def _line_fit(u: np.ndarray, w: np.ndarray) -> tuple[float, float, float]:
     return float(coef[0]), float(coef[1]), r2
 
 
-def _fit_window(t, y, positive_t: bool) -> tuple[np.ndarray, np.ndarray]:
-    """t and y as float arrays, checked for a log-scale fit: 1d, equal
-    length, at least 10 samples, all finite, y > 0 (and t > 0 if asked)."""
+def _series(t, y) -> tuple[np.ndarray, np.ndarray]:
+    """t and y as float arrays, checked to be 1d and of equal length."""
     t = np.asarray(t, dtype=float)
     y = np.asarray(y, dtype=float)
     if t.shape != y.shape or t.ndim != 1:
         raise AnalysisError("t and y must be 1d arrays of equal length")
+    return t, y
+
+
+def _fit_window(t, y, positive_t: bool) -> tuple[np.ndarray, np.ndarray]:
+    """`_series(t, y)`, checked for a log-scale fit: at least 10 samples,
+    all finite, y > 0 (and t > 0 if asked)."""
+    t, y = _series(t, y)
     if len(y) < 10:
         raise AnalysisError("need at least 10 samples in the fit window")
     if not (np.all(np.isfinite(t)) and np.all(np.isfinite(y))):
@@ -134,10 +140,7 @@ def fit_power(t, y) -> RateFit:
 def detect_sign_change(t, y) -> float | None:
     """First time y crosses zero, by linear interpolation; None if it
     keeps its sign.  Exact zeros count as crossings."""
-    t = np.asarray(t, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if t.shape != y.shape or t.ndim != 1:
-        raise AnalysisError("t and y must be 1d arrays of equal length")
+    t, y = _series(t, y)
     if len(t) == 0:
         return None
     for i in range(len(y) - 1):

@@ -65,10 +65,11 @@ def _json_text(payload) -> str:
 
 
 class _Base(BaseModel):
-    """Strict config: unknown keys are refused, and every `<name>_lo`
-    field must lie below its `<name>_hi` unless that one is None."""
+    """Strict config: unknown keys and non-finite numbers are refused, and
+    every `<name>_lo` field must lie below its `<name>_hi` unless that one
+    is None."""
 
-    model_config = ConfigDict(extra="forbid")
+    model_config = ConfigDict(extra="forbid", allow_inf_nan=False)
 
     @model_validator(mode="after")
     def _bounds_ordered(self):
@@ -500,14 +501,16 @@ def run_localization(cfg: LocalizationCfg, ctx: RunContext):
 def run_rates_report(cfg: RatesReportCfg, ctx: RunContext):
     data = np.genfromtxt(cfg.trajectory, delimiter=",", names=True)
     names = data.dtype.names or ()
-    if "t" not in names:
-        raise ValueError("trajectory csv has no t column")
-    t = np.atleast_1d(data["t"])
+
+    def column(name: str) -> np.ndarray:
+        if name not in names:
+            raise ValueError("trajectory csv has no column %r" % name)
+        return np.atleast_1d(data[name])
+
+    t = column("t")
     results = []
     for fit in cfg.fits:
-        if fit.column not in names:
-            raise ValueError("unknown column %r" % fit.column)
-        y = np.atleast_1d(data[fit.column]) - fit.offset
+        y = column(fit.column) - fit.offset
         hi = fit.t_hi if fit.t_hi is not None else np.inf
         mask = (t >= fit.t_lo) & (t <= hi)
         fn = fit_exponential if fit.kind == "exponential" else fit_power
@@ -517,10 +520,8 @@ def run_rates_report(cfg: RatesReportCfg, ctx: RunContext):
                         "r_squared": r.r_squared})
     report = {"trajectory": cfg.trajectory, "fits": results}
     if cfg.sign_change_column:
-        if cfg.sign_change_column not in names:
-            raise ValueError("unknown column %r" % cfg.sign_change_column)
         report["t_cross"] = detect_sign_change(
-            t, np.atleast_1d(data[cfg.sign_change_column]))
+            t, column(cfg.sign_change_column))
     return {"report.json": _json_text(report)}, 0
 
 

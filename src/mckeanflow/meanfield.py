@@ -234,22 +234,18 @@ def find_fixed_points(sc: SelfConsistency1D) -> FixedPointSet:
     lo, hi = -2.0, 2.0
     h = lambda m: sc.mean_map(m) - m
     for _ in range(60):
-        if h(lo) > 0 and h(hi) < 0:
+        h_lo, h_hi = h(np.array([lo, hi]))
+        if h_lo > 0 and h_hi < 0:
             break
         lo, hi = 1.5 * lo - 1.0, 1.5 * hi + 1.0
     else:
         raise MeanFieldError("could not bracket all fixed points")
     grid = np.linspace(lo, hi, 2048)
     vals = h(grid)
-    roots: list[float] = []
-    for i in range(len(grid) - 1):
-        a, b = vals[i], vals[i + 1]
-        if a == 0.0:
-            roots.append(float(grid[i]))
-        elif a * b < 0:
-            roots.append(float(brentq(h, grid[i], grid[i + 1], xtol=1e-12)))
-    if vals[-1] == 0.0:
-        roots.append(float(grid[-1]))
+    # exact zeros are roots; a sign change between neighbours brackets one
+    roots = [float(grid[i]) for i in np.flatnonzero(vals == 0.0)]
+    roots += [float(brentq(h, grid[i], grid[i + 1], xtol=1e-12))
+              for i in np.flatnonzero(vals[:-1] * vals[1:] < 0)]
     out = FixedPointSet()
     for r in sorted(roots):
         if out.points and abs(r - out.points[-1].m) < 1e-9:

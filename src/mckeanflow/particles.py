@@ -122,13 +122,17 @@ def _post_update_check(x: np.ndarray) -> None:
                             "large for this potential")
 
 
+def _check_step(ens: ParticleEnsemble, mode: str, dt: float) -> None:
+    if ens.mode != mode:
+        raise ParticleError("ensemble is not in %s mode" % mode)
+    if not dt > 0:
+        raise ParticleError("dt must be positive")
+
+
 def step_overdamped(ens: ParticleEnsemble, model: ModelConfig,
                     dt: float) -> None:
     """One Euler-Maruyama step; the coupling mean is computed once."""
-    if ens.mode != "overdamped":
-        raise ParticleError("ensemble is not in overdamped mode")
-    if not dt > 0:
-        raise ParticleError("dt must be positive")
+    _check_step(ens, "overdamped", dt)
     x = ens.positions
     force = drift(model, x, x.mean())
     noise = _stream(ens.rng_seed, ens.steps).standard_normal(x.shape)
@@ -140,10 +144,7 @@ def step_overdamped(ens: ParticleEnsemble, model: ModelConfig,
 
 def step_kinetic(ens: ParticleEnsemble, model: ModelConfig,
                  dt: float) -> None:
-    if ens.mode != "kinetic":
-        raise ParticleError("ensemble is not in kinetic mode")
-    if not dt > 0:
-        raise ParticleError("dt must be positive")
+    _check_step(ens, "kinetic", dt)
     x = ens.positions
     v = ens.velocities
     force = drift(model, x, x.mean())

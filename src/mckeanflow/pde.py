@@ -12,13 +12,15 @@ Both solvers share one exponential-fitting flux (Chang-Cooper weights)
 and one backward-Euler solve of it (`_cc_solve`): with frozen mean the
 discretized Gibbs density is exactly stationary, every cell stays
 nonnegative for any dt, and no-flux boundaries conserve mass to machine
-precision.  The overdamped step is that solve along x; its one dt rule is
-an accuracy bound, checked when the solver is built.  The kinetic solver
-is a Strang splitting: half x-transport, then force, friction and
+precision.  The overdamped step is that solve along x.  The kinetic
+solver is a Strang splitting: half x-transport, then force, friction and
 diffusion in v as the same solve along v, then the other half
-x-transport; each sub-step is conservative.  Its default dt is an
-accuracy choice; the only bound it enforces is the transport bound
-dt <= dx/max|v|.
+x-transport; each sub-step is conservative.
+
+Both solvers share one start check (normalized rows; 0 < dt <= an
+accuracy bound on the line, the transport bound dx/max|v| in phase
+space), one step guard (positivity, per-row mass, the clock) and one run
+body (the logs, and the check that the free energy does not rise).
 
 The mean-field coupling is explicit: every step freezes m(rho) at its
 pre-step value, so each step is linear.
@@ -98,7 +100,45 @@ def _cc_solve(rho: np.ndarray, w: np.ndarray, kk: float) -> np.ndarray:
     return new.reshape(rho.shape)
 
 
-class GranularSolver:
+class _Solver:
+    """The clock and the checks both solvers share: `_start` when built,
+    `_guard` after every step, on rows of one (R, cells) array."""
+
+    def _start(self, states: Sequence[DensityGrid1D | PhaseGrid2D],
+               rows: np.ndarray, dt: float, bound: float, what: str) -> None:
+        """Refuse unnormalized states and dt outside (0, bound]; then start
+        the clock and each row's mass record."""
+        if not all(s.is_normalized() for s in states):
+            raise PdeError("initial density must be normalized")
+        self.dt = float(dt)
+        if not self.dt > 0:
+            raise PdeError("dt must be positive")
+        if self.dt > bound * (1.0 + 1e-9):
+            raise CflError("dt=%.6g %s; admissible dt <= %.6g"
+                           % (self.dt, what, bound))
+        self._da = states[0].da
+        self._mass0 = rows.sum(axis=1, keepdims=True) * self._da
+        self._mass_prev = self._mass0
+        self._mass_tol = 1e-12 * np.maximum(1.0, self._mass0)
+        self.time = 0.0
+        self.steps = 0
+
+    def _guard(self, rows: np.ndarray, floor: float) -> None:
+        """Refuse a cell below floor or a row whose mass moved by more than
+        1e-12 * max(1, initial mass); then advance the clock."""
+        if rows.min() < floor:
+            raise PdeError("positivity lost at t=%.6g" % self.time)
+        mass = rows.sum(axis=1, keepdims=True) * self._da
+        moved = abs(mass - self._mass_prev)
+        if not (moved <= self._mass_tol).all():
+            raise PdeError("mass drifted to %.17g at t=%.6g"
+                           % (mass.flat[np.argmax(moved)], self.time))
+        self._mass_prev = mass
+        self.time += self.dt
+        self.steps += 1
+
+
+class GranularSolver(_Solver):
     """Linearly implicit finite-volume integrator for the overdamped
     equation: each step freezes the mean and takes one backward-Euler step
     of the Chang-Cooper operator (`_cc_solve`).
@@ -134,18 +174,12 @@ class GranularSolver:
         first = states[0]
         if not all(s.same_grid(first) for s in states):
             raise PdeError("stacked densities must share one grid")
-        if not all(s.is_normalized() for s in states):
-            raise PdeError("initial density must be normalized")
         self.model = model
         self.x_lo, self.x_hi, self.n = first.x_lo, first.x_hi, first.n
         self.dx = first.dx
         x = first.centers
         self._rho = np.array([s.values for s in states])
         self._x_col = x[:, None]
-        boundary = float(np.max(self._rho[:, [0, -1]])) * self.dx
-        if boundary > EDGE_MASS_TOL:
-            warnings.warn("boundary cells carry mass %.2e; domain may be "
-                          "too small" % boundary)
         # interface quantities: w = -(E(x_{i+1}) - E(x_i)) / sigma2 splits
         # into a potential part and a mean-dependent part
         v = model.potential.value(x)
@@ -153,21 +187,15 @@ class GranularSolver:
         self._w_pot = -np.diff(v) / s2
         self._x_if = 0.5 * (x[:-1] + x[1:])
         self._c_mean = 2.0 * model.theta * self.dx / s2
-        # per-row quantities are (R, 1) columns
-        self._mass0 = self._rho.sum(axis=1, keepdims=True) * self.dx
-        self._mass_prev = self._mass0
-        self._mass_tol = 1e-12 * np.maximum(1.0, self._mass0)
-        self.time = 0.0
-        self.steps = 0
         w_max = (float(np.max(np.abs(self._w_pot)))
                  + abs(self._c_mean) * (self.x_hi - self.x_lo))
         self.max_dt = 8.0 * self.dx ** 2 / (s2 * (2.0 + w_max))
-        self.dt = float(dt) if dt is not None else self.max_dt
-        if not self.dt > 0:
-            raise PdeError("dt must be positive")
-        if self.dt > self.max_dt * (1.0 + 1e-9):
-            raise CflError("dt=%.6g above the accuracy bound; admissible "
-                           "dt <= %.6g" % (self.dt, self.max_dt))
+        self._start(states, self._rho, self.max_dt if dt is None else dt,
+                    self.max_dt, "above the accuracy bound")
+        boundary = float(np.max(self._rho[:, [0, -1]])) * self.dx
+        if boundary > EDGE_MASS_TOL:
+            warnings.warn("boundary cells carry mass %.2e; domain may be "
+                          "too small" % boundary)
 
     @property
     def state(self) -> DensityGrid1D:
@@ -195,18 +223,8 @@ class GranularSolver:
     def step(self) -> None:
         kk = self.model.sigma2 * self.dt / self.dx ** 2
         rho = _cc_solve(self._rho, self._interface_w(self._means()), kk)
-        if rho.min() < 0.0:
-            raise PdeError("positivity lost at t=%.6g" % self.time)
-        mass = rho.sum(axis=1, keepdims=True) * self.dx
-        moved = abs(mass - self._mass_prev)
-        if not (moved <= self._mass_tol).all():
-            worst = mass.flat[np.argmax(moved)]
-            raise PdeError("mass drifted to %.17g at t=%.6g"
-                           % (worst, self.time))
+        self._guard(rho, 0.0)
         self._rho = rho
-        self._mass_prev = mass
-        self.time += self.dt
-        self.steps += 1
 
 
 # Sampled diagnostics of both solvers: mean and var are the x-marginal's,
@@ -217,25 +235,35 @@ class GranularSolver:
 _COLUMNS = ("t", "mean", "var", "F", "H_loc", "Fisher", "W2_ref", "TV_ref")
 
 
-def _log_row(log: TrajectoryLog, t: float, rho: DensityGrid1D | PhaseGrid2D,
-             gamma: DensityGrid1D | PhaseGrid2D, f_val: float,
-             x_marginal: DensityGrid1D, reference: DensityGrid1D | None,
-             tol: float) -> None:
-    """Append one `_COLUMNS` row for state rho with local equilibrium gamma
-    and free energy f_val, after checking that F rose by at most
-    tol * (1 + |F|) since the previous row."""
-    if log.rows:
-        f_prev = log.rows[-1][3]
-        if f_val > f_prev + tol * (1.0 + abs(f_val)):
-            raise PdeError("free energy increased from %.12g to %.12g at "
-                           "t=%.6g" % (f_prev, f_val, t))
-    w2 = tv = np.nan
-    if reference is not None:
-        w2 = wasserstein2(x_marginal, reference)
-        tv = total_variation(x_marginal, reference)
-    log.append(t, x_marginal.mean(), x_marginal.variance(), f_val,
-               relative_entropy(rho, gamma), fisher_information(rho, gamma),
-               w2, tv)
+def _sampled_run(solver: _Solver, T: float, record_every: int | None,
+                 reference: DensityGrid1D | None, tol: float,
+                 samples) -> list[TrajectoryLog]:
+    """Advance solver to time T, logging one trajectory in `_COLUMNS` per
+    guarded row as `analysis.sampled_run` samples them.  `samples()`
+    lists, per row, the state, its local equilibrium, its free energy and
+    its x-marginal; a log's F rising by more than tol * (1 + |F|) aborts
+    the run."""
+    if not T > 0:
+        raise PdeError("T must be positive")
+    logs = [TrajectoryLog(_COLUMNS) for _ in solver._mass0]
+
+    def sample() -> None:
+        for log, (rho, gamma, f_val, x_marginal) in zip(logs, samples()):
+            f_prev = log.rows[-1][3] if log.rows else np.inf
+            if f_val > f_prev + tol * (1.0 + abs(f_val)):
+                raise PdeError("free energy increased from %.12g to %.12g "
+                               "at t=%.6g" % (f_prev, f_val, solver.time))
+            w2 = tv = np.nan
+            if reference is not None:
+                w2 = wasserstein2(x_marginal, reference)
+                tv = total_variation(x_marginal, reference)
+            log.append(solver.time, x_marginal.mean(),
+                       x_marginal.variance(), f_val,
+                       relative_entropy(rho, gamma),
+                       fisher_information(rho, gamma), w2, tv)
+
+    sampled_run(solver.step, sample, solver.dt, T, record_every)
+    return logs
 
 
 def granular_run(solver: GranularSolver, T: float,
@@ -249,24 +277,18 @@ def granular_run(solver: GranularSolver, T: float,
     Each log's free-energy column must be nonincreasing within
     1e-8 * (1 + |F|) per sample, otherwise the run aborts.
     """
-    if not T > 0:
-        raise PdeError("T must be positive")
-    logs = [TrajectoryLog(_COLUMNS) for _ in solver.states]
+    def samples():
+        return [(rho, local_equilibrium(solver.model, rho),
+                 free_energy(solver.model, rho), rho) for rho in solver.states]
 
-    def sample() -> None:
-        for log, rho in zip(logs, solver.states):
-            _log_row(log, solver.time, rho,
-                     local_equilibrium(solver.model, rho),
-                     free_energy(solver.model, rho), rho, reference, 1e-8)
-
-    sampled_run(solver.step, sample, solver.dt, T, record_every)
+    logs = _sampled_run(solver, T, record_every, reference, 1e-8, samples)
     return logs if solver._stacked else logs[0]
 
 
 # ---- kinetic solver ----------------------------------------------------------
 
 
-class VfpSolver:
+class VfpSolver(_Solver):
     """Strang-split integrator for the kinetic equation.
 
     Position advection is done in Fourier space (an exact phase shift per
@@ -285,8 +307,6 @@ class VfpSolver:
 
     def __init__(self, model: ModelConfig, state: PhaseGrid2D,
                  dt: float | None = None):
-        if not state.is_normalized():
-            raise PdeError("initial density must be normalized")
         self.model = model
         self.grid = state
         self._rho = state.values.copy()
@@ -294,17 +314,6 @@ class VfpSolver:
         self._x = state.x_centers
         self._v = state.v_centers
         self._vp = self.model.potential.grad(self._x)
-        # the x advection wraps around, so mass touching the x boundary
-        # reenters on the other side; the v boundary is a hard wall
-        edge = max(float(self._rho[0].max()), float(self._rho[-1].max()))
-        if edge * state.da > EDGE_MASS_TOL:
-            warnings.warn("x-boundary cells carry density %.2e; spectral "
-                          "transport wraps around, enlarge the domain"
-                          % edge)
-        self._mass0 = float(self._rho.sum() * state.da)
-        self._mass_prev = self._mass0
-        self.time = 0.0
-        self.steps = 0
         vmax = float(np.max(np.abs(self._v)))
         dt_transport = state.dx / vmax if vmax > 0 else np.inf
         if dt is None:
@@ -312,12 +321,15 @@ class VfpSolver:
                 model.theta) * (state.x_hi - state.x_lo)
             dt = 0.5 * min(dt_transport,
                            state.dv / fmax if fmax > 0 else np.inf)
-        self.dt = float(dt)
-        if not self.dt > 0:
-            raise PdeError("dt must be positive")
-        if self.dt > dt_transport * (1.0 + 1e-9):
-            raise CflError("dt=%.6g violates transport CFL; admissible "
-                           "dt <= %.6g" % (self.dt, dt_transport))
+        self._start([state], self._rho.reshape(1, -1), dt, dt_transport,
+                    "violates transport CFL")
+        # the x advection wraps around, so mass touching the x boundary
+        # reenters on the other side; the v boundary is a hard wall
+        edge = max(float(self._rho[0].max()), float(self._rho[-1].max()))
+        if edge * state.da > EDGE_MASS_TOL:
+            warnings.warn("x-boundary cells carry density %.2e; spectral "
+                          "transport wraps around, enlarge the domain"
+                          % edge)
         # phase factors advecting each v row by v * dt/2 in x
         kx = 2.0 * np.pi * np.fft.rfftfreq(self.grid.n_x, d=self.grid.dx)
         self._shift_half = np.exp(-1j * np.outer(kx, self._v)
@@ -357,21 +369,11 @@ class VfpSolver:
         self._transport_x_half()
         self._cc_v_solve(force)
         self._transport_x_half()
-        rho = self._rho
         # The spectral round trips leave sign-symmetric roundoff noise in
         # the tails; it stays bounded because nothing rectifies it, so the
         # raw array is kept as is and only `state` copies are clipped.
-        # Anything past the guard below signals an actual instability.
-        low = float(rho.min())
-        if low < -1e-8 * float(rho.max()):
-            raise PdeError("positivity lost at t=%.6g" % self.time)
-        mass = float(rho.sum() * self.grid.da)
-        if not abs(mass - self._mass_prev) <= 1e-12 * max(1.0, self._mass0):
-            raise PdeError("mass drifted to %.17g at t=%.6g"
-                           % (mass, self.time))
-        self._mass_prev = mass
-        self.time += self.dt
-        self.steps += 1
+        # Anything past the guard's floor signals an actual instability.
+        self._guard(self._rho.reshape(1, -1), -1e-8 * self._rho.max())
 
 
 def vfp_run(solver: VfpSolver, T: float, record_every: int | None = None,
@@ -383,16 +385,10 @@ def vfp_run(solver: VfpSolver, T: float, record_every: int | None = None,
     the x-marginal against `reference`.  F must be nonincreasing within
     1e-6 * (1 + |F|) per sample (splitting-error tolerance).
     """
-    if not T > 0:
-        raise PdeError("T must be positive")
-    log = TrajectoryLog(_COLUMNS)
-
-    def sample() -> None:
+    def samples():
         state = solver.state
-        _log_row(log, solver.time, state,
-                 local_equilibrium_kinetic(solver.model, state),
-                 kinetic_free_energy(solver.model, state),
-                 state.x_marginal(), reference, 1e-6)
+        return [(state, local_equilibrium_kinetic(solver.model, state),
+                 kinetic_free_energy(solver.model, state), state.x_marginal())]
 
-    sampled_run(solver.step, sample, solver.dt, T, record_every)
-    return log
+    return _sampled_run(solver, T, record_every, reference, 1e-6,
+                        samples)[0]

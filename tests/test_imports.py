@@ -1,8 +1,11 @@
 """No package module imports a name it never references, and no private
 module-level name goes unreferenced, so a deletion cannot leave a dead
-import or helper behind (no linter is part of the toolchain)."""
+import or helper behind (no linter is part of the toolchain).  Each error
+message is raised from one place in its module, so one rule has one
+check."""
 
 import ast
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
@@ -66,3 +69,28 @@ def test_no_unused_private_names():
                 used.update(alias.name for alias in node.names)
     unused = [entry for entry in defined if entry.split()[-1] not in used]
     assert not unused, unused
+
+
+def _raise_messages(tree):
+    """(message literal, line) of each `raise E("...")` and
+    `raise E("..." % args)`."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+                and node.exc.args):
+            msg = node.exc.args[0]
+            if isinstance(msg, ast.BinOp) and isinstance(msg.op, ast.Mod):
+                msg = msg.left
+            if isinstance(msg, ast.Constant) and isinstance(msg.value, str):
+                yield msg.value, node.lineno
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_one_raise_site_per_message(path):
+    # a refusal written twice is one rule kept in two places, which can
+    # drift apart; share one check instead
+    sites = defaultdict(list)
+    for msg, line in _raise_messages(ast.parse(path.read_text(),
+                                               filename=str(path))):
+        sites[msg].append(line)
+    repeated = {msg: lines for msg, lines in sites.items() if len(lines) > 1}
+    assert not repeated, repeated

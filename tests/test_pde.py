@@ -518,6 +518,45 @@ def test_vfp_steps_above_force_bound(dt):
     assert s._rho.min() >= -1e-8 * s._rho.max()
 
 
+def _vfp_inner_state(model):
+    # an x-density well inside the domain, so no boundary warning fires
+    rho_x = equilibrium_for_mean(model, 0.8, -2.5, 2.5, 64)
+    return product_state(-2.5, 2.5, 64, -3.0, 3.0, 48, rho_x.values, 0.0,
+                         np.sqrt(model.sigma2))
+
+
+def test_vfp_step_checks_mass_and_positivity(dw03):
+    s = VfpSolver(dw03, _vfp_inner_state(dw03))
+    s.step()
+    s._rho[40, 24] += 1e-6 * s._rho.max()
+    with pytest.raises(PdeError, match="mass drifted"):
+        s.step()
+    # a tail cell, where neither sub-step can lift it back above the floor
+    s = VfpSolver(dw03, _vfp_inner_state(dw03))
+    s._rho[1, 1] = -1e-3 * s._rho.max()
+    with pytest.raises(PdeError, match="positivity lost"):
+        s.step()
+
+
+def test_vfp_run_checks_free_energy(dw03, monkeypatch):
+    # a kinetic free energy that rises between two samples aborts the run;
+    # one that falls does not
+    for sign in (-1.0, 1.0):
+        calls = iter(range(10 ** 6))
+
+        def fake(model, rho, calls=calls, sign=sign):
+            return sign * next(calls)
+
+        monkeypatch.setattr("mckeanflow.pde.kinetic_free_energy", fake)
+        run = lambda: mk.vfp_run(VfpSolver(dw03, _vfp_inner_state(dw03)),
+                                 T=0.02)
+        if sign < 0:
+            assert len(run().rows) >= 3
+        else:
+            with pytest.raises(PdeError, match="free energy increased"):
+                run()
+
+
 # ---- the shared Chang-Cooper operator ------------------------------------------
 
 
