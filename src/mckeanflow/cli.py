@@ -4,15 +4,15 @@
     mckeanflow list
 
 Experiments are configured by JSON files validated against strict schemas
-(unknown keys are rejected).  All outputs are written atomically at the
-end of a successful run, plus a manifest.json with the config hash,
-package versions and wall-clock time.  Exit codes: 0 success, 2 config
-or domain validation failure (a certificate for a supercritical model
-among them), 3 numerical failure (dt above the solver's bound, lost
-positivity or mass), 4 certificate verdict INVALID.  With
-identical configs and seeds, reruns are byte-identical except for the
-manifest's wall-clock entry.  Every run uses one thread; --threads is
-accepted for old command lines and ignored.
+(unknown keys, and keys a kind does not read, are rejected).  All outputs
+are written atomically at the end of a successful run, plus a
+manifest.json with the config hash, package versions and wall-clock time.
+Exit codes: 0 success, 2 config or domain validation failure (a
+certificate for a supercritical model among them), 3 numerical failure (dt
+above the solver's bound, lost positivity or mass), 4 certificate verdict
+INVALID.  With identical configs and seeds, reruns are byte-identical
+except for the manifest's wall-clock entry.  Every run uses one thread;
+--threads is accepted for old command lines and ignored.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Annotated, Callable, Literal, Optional
+from typing import Annotated, Callable, ClassVar, Literal, Optional
 
 import numpy as np
 import scipy
@@ -81,15 +81,33 @@ class _Base(BaseModel):
         return self
 
 
-class PotentialCfg(_Base):
-    kind: Literal["double-well", "quadratic", "polynomial"] = "double-well"
-    coefficients: Optional[list[float]] = None
+class _KindCfg(_Base):
+    """A config whose `kind` picks what it builds from the keys that kind
+    reads (READS): a key set must be one that its kind reads, and one that
+    its kind reads with no default must be set and not empty."""
+
+    READS: ClassVar[dict[str, tuple[str, ...]]]
 
     @model_validator(mode="after")
-    def _consistent(self) -> "PotentialCfg":
-        if self.kind == "polynomial" and not self.coefficients:
-            raise ValueError("polynomial potential needs coefficients")
+    def _keys_read(self):
+        reads = self.READS[self.kind]
+        unread = self.model_fields_set - {"kind", *reads}
+        if unread:
+            raise ValueError("kind %r ignores %s"
+                             % (self.kind, ", ".join(sorted(unread))))
+        unset = [k for k in reads if not getattr(self, k)
+                 and type(self).model_fields[k].default is None]
+        if unset:
+            raise ValueError("kind %r needs %s"
+                             % (self.kind, ", ".join(unset)))
         return self
+
+
+class PotentialCfg(_KindCfg):
+    READS = {"double-well": (), "quadratic": (),
+             "polynomial": ("coefficients",)}
+    kind: Literal["double-well", "quadratic", "polynomial"] = "double-well"
+    coefficients: Optional[list[float]] = None
 
     def build(self) -> Potential:
         if self.kind == "double-well":
@@ -124,27 +142,20 @@ class PhaseGridCfg(_Base):
     n_v: int = Field(ge=16)
 
 
-class InitCfg(_Base):
+class InitCfg(_KindCfg):
     """Initial density: a Gaussian, a Gaussian mixture, the local
     equilibrium at a frozen mean (optionally translated), or a CSV."""
 
+    READS = {"gaussian": ("mean", "std"), "mixture": ("components",),
+             "equilibrium": ("mean", "shift"), "csv": ("path",)}
     kind: Literal["gaussian", "mixture", "equilibrium", "csv"] = "gaussian"
     mean: float = 0.0
     std: float = Field(default=0.5, gt=0)
-    components: Optional[list[tuple[float, float, float]]] = None
+    # (weight, mean, width) of each component
+    components: Optional[list[tuple[Annotated[float, Field(ge=0)], float,
+                                    Annotated[float, Field(gt=0)]]]] = None
     shift: float = 0.0
     path: Optional[str] = None
-
-    @model_validator(mode="after")
-    def _consistent(self) -> "InitCfg":
-        if self.kind == "mixture" and not self.components:
-            raise ValueError("mixture init needs components")
-        if any(w < 0 or std <= 0 for w, _, std in self.components or ()):
-            raise ValueError("mixture components need weight >= 0 and "
-                             "width > 0")
-        if self.kind == "csv" and not self.path:
-            raise ValueError("csv init needs a path")
-        return self
 
     def build(self, model, grid: GridCfg) -> DensityGrid1D:
         if self.kind == "gaussian":
@@ -330,10 +341,8 @@ def run_phase_diagram(cfg: PhaseDiagramCfg, ctx: RunContext):
 
 
 def run_critical(cfg: CriticalCfg, ctx: RunContext):
-    model = standard_model(cfg.theta,
-                           0.5 * (cfg.bracket_lo + cfg.bracket_hi),
-                           cfg.potential.build())
-    s2c = critical_sigma2(model, (cfg.bracket_lo, cfg.bracket_hi))
+    s2c = critical_sigma2(cfg.potential.build(), cfg.theta,
+                          (cfg.bracket_lo, cfg.bracket_hi))
     ctx.log("critical sigma2 = %.10g" % s2c)
     return {"report.json": _json_text(
         {"theta": cfg.theta, "sigma2_critical": s2c})}, 0
@@ -417,15 +426,14 @@ def run_particles(cfg: ParticlesRunCfg, ctx: RunContext):
     ref = cfg.reference_density(model, rho0)
     outputs = {}
     finals = {"mean": [], "var": [], "w2_ref": [], "fe_proxy": []}
+    # kinetic ensembles start from the Maxwellian at the model temperature
+    s2v = model.sigma2 if cfg.mode == "kinetic" else None
     for seed in cfg.seeds:
-        if cfg.init.kind == "gaussian":
-            ens = ParticleEnsemble.gaussian(
-                cfg.mode, cfg.n_particles, cfg.init.mean, cfg.init.std,
-                seed, sigma2_velocity=model.sigma2)
-        else:
-            ens = ParticleEnsemble.from_density(
-                cfg.mode, cfg.n_particles, rho0, seed,
-                sigma2_velocity=model.sigma2)
+        ens = (ParticleEnsemble.gaussian(cfg.n_particles, cfg.init.mean,
+                                         cfg.init.std, seed, s2v)
+               if cfg.init.kind == "gaussian" else
+               ParticleEnsemble.from_density(cfg.n_particles, rho0, seed,
+                                             s2v))
         log = simulate_particles(ens, model, cfg.dt, cfg.T,
                                  cfg.record_every, reference=ref)
         outputs["trajectory_seed%d.csv" % seed] = log.to_csv_text()

@@ -70,6 +70,15 @@ class _Grid:
         return abs(self.mass() - 1.0) <= 1e-8
 
 
+def _width(std: float, dx: float) -> float:
+    """A Gaussian width, raised to 2*dx with a warning below that."""
+    if std < 2.0 * dx:
+        warnings.warn("near-singular width regularized to 2*dx",
+                      stacklevel=3)
+        return 2.0 * dx
+    return float(std)
+
+
 @dataclass
 class DensityGrid1D(_Grid):
     """Probability density on [x_lo, x_hi] stored as n cell averages."""
@@ -128,11 +137,7 @@ class DensityGrid1D(_Grid):
     @staticmethod
     def gaussian(x_lo: float, x_hi: float, n: int, mean: float,
                  std: float) -> "DensityGrid1D":
-        dx = (x_hi - x_lo) / n
-        if std < 2.0 * dx:
-            warnings.warn("near-singular width regularized to 2*dx",
-                          stacklevel=2)
-            std = 2.0 * dx
+        std = _width(std, (x_hi - x_lo) / n)
         return DensityGrid1D.from_function(
             lambda x: np.exp(-0.5 * ((x - mean) / std) ** 2), x_lo, x_hi, n)
 
@@ -144,11 +149,7 @@ class DensityGrid1D(_Grid):
         xs = x_lo + (np.arange(n) + 0.5) * dx
         vals = np.zeros(n)
         for weight, mean, std in components:
-            std = float(std)
-            if std < 2.0 * dx:
-                warnings.warn("near-singular width regularized to 2*dx",
-                              stacklevel=2)
-                std = 2.0 * dx
+            std = _width(std, dx)
             vals += (weight / (std * np.sqrt(2.0 * np.pi))
                      * np.exp(-0.5 * ((xs - mean) / std) ** 2))
         return DensityGrid1D(x_lo, x_hi, n, vals).normalize()

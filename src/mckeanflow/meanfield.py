@@ -29,7 +29,7 @@ from numpy.polynomial import polynomial as P
 from scipy.optimize import brentq
 
 from .grid import equilibrium_for_mean
-from .model import ModelConfig
+from .model import ModelConfig, Potential, standard_model
 
 _TAIL_LOG = np.log(1e-14)
 # quadrature radii: a mean uses the first that holds its tails
@@ -258,7 +258,8 @@ def find_fixed_points(sc: SelfConsistency1D) -> FixedPointSet:
     return out
 
 
-def critical_sigma2(model: ModelConfig, bracket=(0.3, 1.0)) -> float:
+def critical_sigma2(potential: Potential, theta: float,
+                    bracket=(0.3, 1.0)) -> float:
     """Temperature where f'(0) = 1, by bisection in sigma2 to 1e-8.
 
     Requires f'(0) > 1 at the low end of the bracket and < 1 at the high
@@ -267,7 +268,7 @@ def critical_sigma2(model: ModelConfig, bracket=(0.3, 1.0)) -> float:
     lo, hi = float(bracket[0]), float(bracket[1])
 
     def slope_gap(s2: float) -> float:
-        sc = SelfConsistency1D(model.with_sigma2(s2))
+        sc = SelfConsistency1D(standard_model(theta, s2, potential))
         return sc.mean_map_derivative(0.0) - 1.0
 
     if not (slope_gap(lo) > 0 > slope_gap(hi)):
@@ -348,20 +349,33 @@ def degeneracy_bound(sc: SelfConsistency1D) -> DegenerateFit:
 
 def discrete_fixed_mean(model: ModelConfig, x_lo: float, x_hi: float,
                         n: int, m0: float) -> float:
-    """Fixed point of the grid-discretized mean map, by plain iteration
-    until successive means differ by less than 1e-14 (at most 500 steps).
+    """Fixed point of the grid-discretized mean map f_d that plain
+    iteration from m0 converges to (for theta < 0 the only one), found
+    once |f_d(m) - m| < 1e-14.
 
     The discretized Gibbs density at this mean is an exact steady state
     of the exponential-fitting solver; the continuum fixed point differs
     from it at discretization order, so long-run comparisons should use
-    this one.  Iteration requires |f'| < 1 at the target.
+    this one.  Steps are Newton steps with the exact slope f_d' =
+    (2*theta/sigma2) * Var_d, cut where f_d' extrapolated linearly from
+    the last point would pass (1 + f_d')/2, so as not to cross an unstable
+    root, and never shorter than the plain step f_d(m) - m if theta > 0;
+    a step past a point seen on the root's other side bisects instead.
     """
-    m = float(m0)
+    c = 2.0 * model.theta / model.sigma2
+    m, last, lo, hi = float(m0), None, -np.inf, np.inf
     for _ in range(500):
-        m_new = equilibrium_for_mean(model, m, x_lo, x_hi, n).mean()
-        if abs(m_new - m) < 1e-14:
-            return m_new
-        m = m_new
+        rho = equilibrium_for_mean(model, m, x_lo, x_hi, n)
+        h, slope = rho.mean() - m, c * rho.variance()
+        curv = abs(slope - last[1]) / abs(m - last[0]) if last else np.inf
+        reach = (1.0 - slope) / (2.0 * curv) if curv else np.inf
+        step = h if slope >= 1.0 else np.copysign(
+            min(abs(h) / (1.0 - slope), max(abs(h), reach)), h)
+        if abs(h) < 1e-14:
+            return float(m + step)
+        lo, hi = (m, hi) if h > 0 else (lo, m)
+        last, m = (m, slope), (m + step if lo < m + step < hi
+                               else 0.5 * (lo + hi))
     raise MeanFieldError("discrete mean map iteration did not converge")
 
 

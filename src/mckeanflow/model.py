@@ -202,9 +202,6 @@ class ModelConfig:
         if not self.sigma2 > 0:
             raise ModelError("sigma2 must be positive")
 
-    def with_sigma2(self, sigma2: float) -> "ModelConfig":
-        return ModelConfig(self.potential, self.theta, float(sigma2))
-
 
 def standard_model(theta: float, sigma2: float,
                    potential: Potential | None = None) -> ModelConfig:

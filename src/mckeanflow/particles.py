@@ -22,7 +22,7 @@ empirical energy with a first-nearest-neighbor entropy estimate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import digamma
@@ -44,23 +44,17 @@ def _stream(seed: int, step: int) -> np.random.Generator:
 
 @dataclass
 class ParticleEnsemble:
-    """State of an N-particle system.
+    """State of an N-particle system: positions of shape (N,), and
+    velocities of the same shape for the kinetic system or None for the
+    overdamped one."""
 
-    mode is "overdamped" (positions only) or "kinetic" (positions and
-    velocities).  positions has shape (N,); velocities matches in kinetic
-    mode.
-    """
-
-    mode: str
     positions: np.ndarray
     velocities: np.ndarray | None = None
     rng_seed: int = 0
     time: float = 0.0
-    steps: int = field(default=0)
+    steps: int = 0
 
     def __post_init__(self):
-        if self.mode not in ("overdamped", "kinetic"):
-            raise ParticleError("mode must be overdamped or kinetic")
         self.positions = np.array(self.positions, dtype=float)
         if self.positions.ndim != 1:
             raise ParticleError("positions must be a 1d array")
@@ -68,17 +62,12 @@ class ParticleEnsemble:
             raise ParticleError("need at least 2 particles")
         if not np.all(np.isfinite(self.positions)):
             raise ParticleError("positions must be finite")
-        if self.mode == "kinetic":
-            if self.velocities is None:
-                self.velocities = np.zeros_like(self.positions)
-            else:
-                self.velocities = np.array(self.velocities, dtype=float)
+        if self.velocities is not None:
+            self.velocities = np.array(self.velocities, dtype=float)
             if self.velocities.shape != self.positions.shape:
                 raise ParticleError("velocity shape mismatch")
             if not np.all(np.isfinite(self.velocities)):
                 raise ParticleError("velocities must be finite")
-        elif self.velocities is not None:
-            raise ParticleError("an overdamped ensemble has no velocities")
 
     @property
     def n(self) -> int:
@@ -87,27 +76,24 @@ class ParticleEnsemble:
     # ---- constructors ----------------------------------------------------
 
     @classmethod
-    def gaussian(cls, mode: str, n: int, mean: float, std: float,
-                 seed: int, sigma2_velocity: float = 0.0
-                 ) -> "ParticleEnsemble":
+    def gaussian(cls, n: int, mean: float, std: float, seed: int,
+                 sigma2_velocity: float | None = None) -> "ParticleEnsemble":
         x = mean + std * _stream(seed, _INIT_STREAM).standard_normal(n)
-        return cls(mode, x, _velocities(mode, n, seed, sigma2_velocity),
-                   rng_seed=seed)
+        return cls(x, _velocities(n, seed, sigma2_velocity), rng_seed=seed)
 
     @classmethod
-    def from_density(cls, mode: str, n: int, rho: DensityGrid1D, seed: int,
-                     sigma2_velocity: float = 0.0) -> "ParticleEnsemble":
+    def from_density(cls, n: int, rho: DensityGrid1D, seed: int,
+                     sigma2_velocity: float | None = None
+                     ) -> "ParticleEnsemble":
         """Inverse-CDF draw of n positions from a grid density."""
-        u = _stream(seed, _INIT_STREAM).random(n)
-        x = quantiles_at(rho, u)
-        return cls(mode, x, _velocities(mode, n, seed, sigma2_velocity),
-                   rng_seed=seed)
+        x = quantiles_at(rho, _stream(seed, _INIT_STREAM).random(n))
+        return cls(x, _velocities(n, seed, sigma2_velocity), rng_seed=seed)
 
 
-def _velocities(mode: str, n: int, seed: int,
-                sigma2_velocity: float) -> np.ndarray | None:
-    """Initial velocities, N(0, sigma2_velocity) each; None unless kinetic."""
-    if mode != "kinetic":
+def _velocities(n: int, seed: int,
+                sigma2_velocity: float | None) -> np.ndarray | None:
+    """Initial velocities, N(0, sigma2_velocity) each, or None."""
+    if sigma2_velocity is None:
         return None
     if not sigma2_velocity >= 0:
         raise ParticleError("sigma2_velocity must be non-negative")
@@ -116,45 +102,38 @@ def _velocities(mode: str, n: int, seed: int,
             * _stream(seed, _INIT_STREAM + 1).standard_normal(n))
 
 
-def _post_update_check(x: np.ndarray) -> None:
-    if not np.all(np.isfinite(x)):
-        raise ParticleError("non-finite coordinates: the step size is too "
-                            "large for this potential")
-
-
-def _check_step(ens: ParticleEnsemble, mode: str, dt: float) -> None:
-    if ens.mode != mode:
-        raise ParticleError("ensemble is not in %s mode" % mode)
+def _step(ens: ParticleEnsemble, model: ModelConfig, dt: float,
+          kinetic: bool) -> None:
+    """One Euler-Maruyama step of the system of this kind, which must be
+    the ensemble's; the coupling mean is computed once."""
+    if (ens.velocities is not None) != kinetic:
+        raise ParticleError("the %s step needs an ensemble %s velocities" % (
+            ("overdamped", "without"), ("kinetic", "with"))[kinetic])
     if not dt > 0:
         raise ParticleError("dt must be positive")
+    x, v = ens.positions, ens.velocities
+    force = drift(model, x, x.mean())
+    noise = _stream(ens.rng_seed, ens.steps).standard_normal(x.shape)
+    if kinetic:
+        x += dt * v
+        v += dt * (force - v) + np.sqrt(2.0 * model.sigma2 * dt) * noise
+    else:
+        x += dt * force + np.sqrt(2.0 * model.sigma2 * dt) * noise
+    if not np.all(np.isfinite(x)) or kinetic and not np.all(np.isfinite(v)):
+        raise ParticleError("non-finite coordinates: the step size is too "
+                            "large for this potential")
+    ens.time += dt
+    ens.steps += 1
 
 
 def step_overdamped(ens: ParticleEnsemble, model: ModelConfig,
                     dt: float) -> None:
-    """One Euler-Maruyama step; the coupling mean is computed once."""
-    _check_step(ens, "overdamped", dt)
-    x = ens.positions
-    force = drift(model, x, x.mean())
-    noise = _stream(ens.rng_seed, ens.steps).standard_normal(x.shape)
-    x += dt * force + np.sqrt(2.0 * model.sigma2 * dt) * noise
-    _post_update_check(x)
-    ens.time += dt
-    ens.steps += 1
+    _step(ens, model, dt, kinetic=False)
 
 
 def step_kinetic(ens: ParticleEnsemble, model: ModelConfig,
                  dt: float) -> None:
-    _check_step(ens, "kinetic", dt)
-    x = ens.positions
-    v = ens.velocities
-    force = drift(model, x, x.mean())
-    noise = _stream(ens.rng_seed, ens.steps).standard_normal(x.shape)
-    x += dt * v
-    v += dt * (force - v) + np.sqrt(2.0 * model.sigma2 * dt) * noise
-    _post_update_check(x)
-    _post_update_check(v)
-    ens.time += dt
-    ens.steps += 1
+    _step(ens, model, dt, kinetic=True)
 
 
 # ---- diagnostics -------------------------------------------------------------
@@ -216,7 +195,7 @@ def run_particles(ens: ParticleEnsemble, model: ModelConfig, dt: float,
     which needs at least 64 particles."""
     if not T > 0:
         raise ParticleError("T must be positive")
-    stepper = step_overdamped if ens.mode == "overdamped" else step_kinetic
+    stepper = step_overdamped if ens.velocities is None else step_kinetic
     log = TrajectoryLog(("t", "mean", "var", "w2_ref", "fe_proxy"))
 
     def sample() -> None:

@@ -34,8 +34,7 @@ def certificate(dw03):
 
 @pytest.fixture(scope="module")
 def crit():
-    model0 = mk.standard_model(1.0, 0.5)
-    s2c = critical_sigma2(model0, (0.3, 1.0))
+    s2c = critical_sigma2(mk.Potential.double_well(), 1.0, (0.3, 1.0))
     return s2c, mk.standard_model(1.0, s2c)
 
 
@@ -48,7 +47,7 @@ def test_c01_phase_transition():
 
     assert n_roots(1.0) == 1
     assert n_roots(0.3) == 3
-    s2c = critical_sigma2(mk.standard_model(1.0, 0.5), (0.3, 1.0))
+    s2c = critical_sigma2(mk.Potential.double_well(), 1.0, (0.3, 1.0))
     assert 0.3 < s2c < 1.0
     assert n_roots(s2c * 0.99) == 3
     assert n_roots(s2c * 1.01) == 1
@@ -247,9 +246,9 @@ def test_c09_kinetic_convergence():
     assert time.perf_counter() - started < 600.0
 
 
-def test_c10_localization_limit(dw03):
+def test_c10_localization_limit():
     started = time.perf_counter()
-    vals = [localization_jacobian(dw03.with_sigma2(s2), 1.0)
+    vals = [localization_jacobian(mk.standard_model(1.0, s2), 1.0)
             for s2 in (0.2, 0.1, 0.05)]
     assert all(v < 1.0 for v in vals)
     assert vals[0] > vals[1] > vals[2] > 0.5
@@ -265,7 +264,7 @@ def test_c11_particle_free_energy(dw03, m_plus, rho_star_512):
     seeds = range(8)
 
     def final_proxy_gap(n, seed):
-        ens = ParticleEnsemble.gaussian("overdamped", n, m_plus + 0.1,
+        ens = ParticleEnsemble.gaussian(n, m_plus + 0.1,
                                         std_star, seed=seed)
         log = mk.run_particles(ens, dw03, dt=dt, T=T, record_every=100)
         return ens, log, abs(mk.free_energy_proxy(ens, dw03) - f_star)

@@ -218,5 +218,5 @@ def test_certificate_independent_of_earlier_calls(dw03):
     # the same certificate after the mean map has served other models
     first = build_certificate(dw03, grid_n=256, n_runs=1).to_json()
     mk.find_fixed_points(mk.SelfConsistency1D(mk.standard_model(2.0, 0.2)))
-    mk.critical_sigma2(mk.standard_model(1.0, 0.5), (0.3, 1.0))
+    mk.critical_sigma2(Potential.double_well(), 1.0, (0.3, 1.0))
     assert build_certificate(dw03, grid_n=256, n_runs=1).to_json() == first

@@ -269,6 +269,22 @@ def test_domain_error_exit_2(tmp_path, capsys):
         ("particles-run", {"model": model, "n_particles": 64, "seeds": [0],
                            "T": 0.1, "with_proxy": False}, "with_proxy",
          "Extra inputs"),
+        # a key that the chosen kind does not read is refused too
+        ("fixed-points", {"model": {"theta": 1.0, "sigma2": 0.3,
+                                    "potential": {
+                                        "kind": "quadratic",
+                                        "coefficients": [0, 0, -0.5, 0,
+                                                         0.25]}}},
+         "kind 'quadratic' ignores coefficients"),
+        ("pde-run", {"model": model,
+                     "grid": {"x_lo": -4.0, "x_hi": 4.0, "n": 64},
+                     "init": {"path": missing}, "T": 0.1},
+         "kind 'gaussian' ignores path"),
+        ("pde-run", {"model": model,
+                     "grid": {"x_lo": -4.0, "x_hi": 4.0, "n": 64},
+                     "init": {"kind": "equilibrium", "std": 0.3,
+                              "components": [[1.0, 0.0, 0.5]]}, "T": 0.1},
+         "kind 'equilibrium' ignores components, std"),
     ]
     for k, (experiment, payload, *named) in enumerate(cases):
         cfg = write_cfg(tmp_path, payload, name="cfg%d.json" % k)
@@ -304,7 +320,7 @@ def test_step_budget_exit_2(tmp_path, capsys, experiment, payload):
 
 
 _FLAWS = ("dt <= 0", "dt nan", "reversed bounds", "sigma2 <= 0",
-          "unknown key")
+          "unknown key", "ignored key")
 
 
 @st.composite
@@ -350,6 +366,14 @@ def _small_runs(draw):
         payload[key] = dict(payload.get(key, grid), x_lo=hi, x_hi=lo)
     elif flaw == "sigma2 <= 0":
         model["sigma2"] = draw(st.sampled_from((0.0, -model["sigma2"])))
+    elif flaw == "ignored key" and "init" in payload:
+        # a gaussian init reads mean and std only
+        payload["init"] = dict(payload["init"], **draw(st.sampled_from(
+            ({"path": "rho.csv"}, {"shift": 0.1},
+             {"components": [[1.0, 0.0, 0.5]]}))))
+    elif flaw == "ignored key":
+        model["potential"] = {"kind": "double-well",
+                              "coefficients": [0, 0, -0.5, 0, 0.25]}
     else:
         payload["bogus"] = 1
     return experiment, payload, {2}
@@ -454,6 +478,20 @@ def test_rerun_byte_identical_across_thread_counts(tmp_path):
         if name != "manifest.json":
             assert (outs[0] / name).read_bytes() == (
                 outs[1] / name).read_bytes()
+
+
+def test_reference_near_critical_temperature(tmp_path):
+    # sigma2 = 0.8 just below sigma2_c = 0.8158: f' = 0.988 at the
+    # reference mean, and plain iteration takes about 2 000 steps there
+    cfg = write_cfg(tmp_path, {
+        "model": {"theta": 1.0, "sigma2": 0.8},
+        "grid": {"x_lo": -4.0, "x_hi": 4.0, "n": 256},
+        "init": {"kind": "gaussian", "mean": 0.5, "std": 0.5},
+        "T": 0.5, "reference": "self-consistent"})
+    assert main(["pde-run", "--config", cfg, "--out",
+                 str(tmp_path / "out")]) == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert np.isfinite(report["final_w2_to_reference"])
 
 
 def test_particle_reference_starts_from_initial_density_mean(tmp_path):

@@ -1,8 +1,8 @@
 """No package module imports a name it never references, and no private
 module-level name goes unreferenced, so a deletion cannot leave a dead
 import or helper behind (no linter is part of the toolchain).  Each error
-message is raised from one place in its module, so one rule has one
-check."""
+or warning message is raised from one place in its module, so one rule
+has one check."""
 
 import ast
 from collections import defaultdict
@@ -71,13 +71,25 @@ def test_no_unused_private_names():
     assert not unused, unused
 
 
-def _raise_messages(tree):
-    """(message literal, line) of each `raise E("...")` and
-    `raise E("..." % args)`."""
+def _is_warn(call):
+    return (isinstance(call.func, ast.Attribute) and call.func.attr == "warn"
+            and isinstance(call.func.value, ast.Name)
+            and call.func.value.id == "warnings")
+
+
+def _messages(tree):
+    """(message literal, line) of each `raise E("...")`,
+    `raise E("..." % args)`, `warnings.warn("...")` and
+    `warnings.warn("..." % args)`."""
     for node in ast.walk(tree):
-        if (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
-                and node.exc.args):
-            msg = node.exc.args[0]
+        if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call):
+            call = node.exc
+        elif isinstance(node, ast.Call) and _is_warn(node):
+            call = node
+        else:
+            continue
+        if call.args:
+            msg = call.args[0]
             if isinstance(msg, ast.BinOp) and isinstance(msg.op, ast.Mod):
                 msg = msg.left
             if isinstance(msg, ast.Constant) and isinstance(msg.value, str):
@@ -86,10 +98,10 @@ def _raise_messages(tree):
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_one_raise_site_per_message(path):
-    # a refusal written twice is one rule kept in two places, which can
-    # drift apart; share one check instead
+    # a refusal or warning written twice is one rule kept in two places,
+    # which can drift apart; share one check instead
     sites = defaultdict(list)
-    for msg, line in _raise_messages(ast.parse(path.read_text(),
+    for msg, line in _messages(ast.parse(path.read_text(),
                                                filename=str(path))):
         sites[msg].append(line)
     repeated = {msg: lines for msg, lines in sites.items() if len(lines) > 1}

@@ -270,36 +270,37 @@ def test_fixed_points_match_effective_potential_critical_points(sc03,
 
 
 def test_critical_sigma2_frozen_value(dw03):
-    sc2 = mk.critical_sigma2(dw03)
+    sc2 = mk.critical_sigma2(dw03.potential, dw03.theta)
     assert 0.3 < sc2 < 1.0
     assert sc2 == pytest.approx(ov.SIGMA_C2, abs=1e-7)
-    sc = SelfConsistency1D(dw03.with_sigma2(sc2))
+    sc = SelfConsistency1D(mk.standard_model(1.0, sc2))
     assert sc.mean_map_derivative(0.0) == pytest.approx(1.0, abs=1e-6)
 
 
 def test_pitchfork_count_flips_at_critical(dw03):
-    sc2 = mk.critical_sigma2(dw03)
+    sc2 = mk.critical_sigma2(dw03.potential, dw03.theta)
     below = mk.find_fixed_points(
-        SelfConsistency1D(dw03.with_sigma2(0.99 * sc2)))
+        SelfConsistency1D(mk.standard_model(1.0, 0.99 * sc2)))
     above = mk.find_fixed_points(
-        SelfConsistency1D(dw03.with_sigma2(1.01 * sc2)))
+        SelfConsistency1D(mk.standard_model(1.0, 1.01 * sc2)))
     assert len(below.means) == 3
     assert len(above.means) == 1
 
 
-def test_slope_at_zero_decreasing_in_temperature(dw03):
-    slopes = [SelfConsistency1D(dw03.with_sigma2(s)).mean_map_derivative(0.0)
-              for s in (0.4, 0.6, 0.8, 1.0)]
+def test_slope_at_zero_decreasing_in_temperature():
+    slopes = [SelfConsistency1D(mk.standard_model(1.0, s))
+              .mean_map_derivative(0.0) for s in (0.4, 0.6, 0.8, 1.0)]
     assert np.all(np.diff(slopes) < 0)
 
 
 def test_critical_sigma2_rejects_bad_bracket(dw03):
     with pytest.raises(MeanFieldError):
-        mk.critical_sigma2(dw03, bracket=(1.5, 3.0))
+        mk.critical_sigma2(dw03.potential, dw03.theta,
+                           bracket=(1.5, 3.0))
 
 
-def test_supercritical_global_contraction(dw03):
-    sc = SelfConsistency1D(dw03.with_sigma2(1.0))
+def test_supercritical_global_contraction():
+    sc = SelfConsistency1D(mk.standard_model(1.0, 1.0))
     ms = np.concatenate([np.linspace(-2.5, -0.05, 30),
                          np.linspace(0.05, 2.5, 30)])
     ratios = [abs(sc.mean_map(m)) / abs(m) for m in ms]
@@ -317,15 +318,15 @@ def test_contraction_factor_subcritical(sc03, m_plus):
     assert mk.contraction_factor(sc03, 0.2) <= alpha + 1e-12
 
 
-def test_contraction_factor_rejects_supercritical(dw03):
-    sc = SelfConsistency1D(dw03.with_sigma2(1.0))
+def test_contraction_factor_rejects_supercritical():
+    sc = SelfConsistency1D(mk.standard_model(1.0, 1.0))
     with pytest.raises(MeanFieldError):
         mk.contraction_factor(sc, 0.05)
 
 
 def test_degeneracy_bound_at_critical(dw03):
-    sc2 = mk.critical_sigma2(dw03)
-    sc = SelfConsistency1D(dw03.with_sigma2(sc2))
+    sc2 = mk.critical_sigma2(dw03.potential, dw03.theta)
+    sc = SelfConsistency1D(mk.standard_model(1.0, sc2))
     fit = mk.degeneracy_bound(sc)
     assert fit.cubic_coefficient == pytest.approx(ov.CUBIC_S, rel=1e-2)
     assert fit.beta > 0
@@ -345,25 +346,25 @@ def test_degeneracy_bound_rejects_off_critical(sc03):
 # ---- localization --------------------------------------------------------------
 
 
-def test_localization_jacobian_frozen_values(dw03):
+def test_localization_jacobian_frozen_values():
     for s2, expect in ov.LOC_JAC.items():
-        val = mk.localization_jacobian(dw03.with_sigma2(s2), 1.0)
+        val = mk.localization_jacobian(mk.standard_model(1.0, s2), 1.0)
         assert val == pytest.approx(expect, abs=1e-6)
 
 
-def test_localization_jacobian_approaches_low_temperature_limit(dw03):
-    vals = [mk.localization_jacobian(dw03.with_sigma2(s2), 1.0)
+def test_localization_jacobian_approaches_low_temperature_limit():
+    vals = [mk.localization_jacobian(mk.standard_model(1.0, s2), 1.0)
             for s2 in (0.2, 0.1, 0.05)]
     assert np.all(np.diff(vals) < 0)
     assert all(v < 1 for v in vals)
     assert abs(vals[-1] - ov.LOC_LIMIT) < 0.1
 
 
-def test_localization_rejects_when_no_local_fixed_point(dw03):
+def test_localization_rejects_when_no_local_fixed_point():
     from mckeanflow.meanfield import LocalizationError
     # high temperature: no fixed point near the well at a=1
     with pytest.raises(LocalizationError):
-        mk.localization_jacobian(dw03.with_sigma2(1.5), 1.0)
+        mk.localization_jacobian(mk.standard_model(1.0, 1.5), 1.0)
 
 
 def test_localization_two_wells_give_two_fixed_points():
@@ -381,3 +382,42 @@ def test_discrete_fixed_mean_close_to_continuum(dw03, m_plus):
     assert m_d == pytest.approx(m_plus, abs=1e-4)
     rho = mk.equilibrium_for_mean(dw03, m_d, -4.0, 4.0, 512)
     assert rho.mean() == pytest.approx(m_d, abs=1e-12)
+
+
+# theta > 0 on the double well, up to sigma2 = 0.81 just below sigma2_c =
+# 0.8158, where f' = 0.9955 at the root; theta < 0 on a tilted well, whose
+# one root is not 0 by symmetry, and at theta = -1 f' = -19 there, so plain
+# iteration oscillates
+@pytest.mark.parametrize("theta, sigma2, m0", [
+    (1.0, 0.3, 0.5), (1.0, 0.7, -0.5), (1.0, 0.8, 0.5), (1.0, 0.81, -0.5),
+    (-1.0, 0.3, 0.5), (-0.5, 0.8, -0.5)])
+def test_discrete_fixed_mean_model_space(theta, sigma2, m0):
+    from mckeanflow.meanfield import discrete_fixed_mean
+    pot = (Potential.double_well() if theta > 0
+           else Potential((0.0, 0.2, -0.5, 0.0, 0.25)))
+    model = mk.standard_model(theta, sigma2, potential=pot)
+    n = 256
+    m_d = discrete_fixed_mean(model, -4.0, 4.0, n, m0)
+    f_d = mk.equilibrium_for_mean(model, m_d, -4.0, 4.0, n).mean()
+    assert abs(f_d - m_d) <= 1e-13
+    roots = mk.find_fixed_points(SelfConsistency1D(model)).means
+    nearest = min(roots, key=lambda r: abs(r - m0))
+    assert abs(m_d - nearest) <= (8.0 / n) ** 2
+
+
+def test_discrete_fixed_mean_is_the_iteration_root():
+    # four wells at theta = 1, sigma2 = 0.3: plain iteration from 0.5
+    # climbs to the stable root near 0.93, where an uncut Newton step from
+    # a point with f' near 1 overshoots the unstable root near 1.9 and
+    # ends at the one near 2.96
+    from mckeanflow.meanfield import discrete_fixed_mean
+    model = mk.standard_model(1.0, 0.3, potential=FOUR_WELL)
+    m = 0.5
+    for _ in range(2000):
+        m_new = mk.equilibrium_for_mean(model, m, -5.0, 5.0, 256).mean()
+        if abs(m_new - m) < 1e-15:
+            break
+        m = m_new
+    assert 0.9 < m < 1.0
+    assert discrete_fixed_mean(model, -5.0, 5.0, 256, 0.5) == pytest.approx(
+        m, abs=1e-12)

@@ -174,9 +174,7 @@ def test_model_config_validation():
     with pytest.raises(ModelError):
         mk.standard_model(1.0, 0.0)
     m = mk.standard_model(1.0, 0.5)
-    assert m.theta == 1.0
-    assert m.with_sigma2(0.25).sigma2 == 0.25
-    assert m.with_sigma2(0.25).theta == m.theta
+    assert (m.theta, m.sigma2) == (1.0, 0.5)
 
 
 # ---- drift -------------------------------------------------------------------
@@ -244,7 +242,8 @@ def test_interaction_energy_equals_theta_times_variance(dw03):
     rho = mk.DensityGrid1D.gaussian_mixture(
         -5, 5, 2048, [(0.5, -1.2, 0.4), (0.5, 1.2, 0.4)])
     e_full = mk.mean_field_energy(dw03, rho)
-    e_conf = mk.mean_field_energy(dw03.with_sigma2(dw03.sigma2), rho)
+    # the energy part does not depend on the temperature
+    e_conf = mk.mean_field_energy(mk.standard_model(1.0, 0.7), rho)
     zero_theta = mk.standard_model(0.0, 0.3)
     e_v = mk.mean_field_energy(zero_theta, rho)
     assert e_full - e_v == pytest.approx(dw03.theta * rho.variance(), rel=1e-10)
